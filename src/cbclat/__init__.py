@@ -23,9 +23,11 @@ from .kernels import (
     MODE_INTEGRATION,
     MODE_RECONSTRUCTION,
     ResidueState,
+    Step,
     check_exactness_integration,
     check_exactness_reconstruction,
     init_residues,
+    prepare_step,
 )
 from .lattice import (
     Rank1Lattice,
@@ -59,7 +61,7 @@ __all__ = [
     "read_set", "write_set",
     "Rank1Lattice", "TrigPolynomial", "nodes", "cubature", "verify_integration",
     "verify_reconstruction", "eval_poly", "eval_on_lattice", "reconstruct_coeffs",
-    "ResidueState", "init_residues", "check_exactness_integration",
+    "ResidueState", "Step", "init_residues", "prepare_step", "check_exactness_integration",
     "check_exactness_reconstruction", "MODE_INTEGRATION", "MODE_RECONSTRUCTION",
     "CbcConfig", "CbcResult", "sample_distinct", "shuffle", "two_step_permutation",
     "cbc_construct", "cbc_construct_basic", "cbc_exhaustive", "estimate_failure_bound",

@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 
 from . import freqset, lattice
-from .heuristic import heuristic_search
+from .heuristic import TrailEntry, heuristic_search
 from .kernels import MODE_INTEGRATION, MODE_RECONSTRUCTION, MODES
 from .primes import is_prime
 from .search import CbcConfig, cbc_construct
@@ -111,12 +111,8 @@ def _verifier(mode: str):
     return lattice.verify_integration if mode == MODE_INTEGRATION else lattice.verify_reconstruction
 
 
-def _verified(I: freqset.FrequencySet, M, z, mode: str) -> bool:
-    return _verifier(mode)(lattice.Rank1Lattice(M, tuple(z)), I)
-
-
-def _result_json(I, mode, seed, status, M, z, trail, seconds) -> dict:
-    ok = status == "success" and _verified(I, M, z, mode)
+def _result_json(I, mode, seed, status, M, z, trail, seconds, verified: bool) -> dict:
+    """The result object; verified is the caller's verdict on (M, z)."""
     return {
         "status": status,
         "d": I.d,
@@ -124,8 +120,8 @@ def _result_json(I, mode, seed, status, M, z, trail, seconds) -> dict:
         "z": list(z) if status == "success" else None,
         "mode": mode,
         "seed": seed,
-        "verified": ok,
-        "trail": [{"Mtilde": t[0], "attempts": t[1], "ok": t[2]} for t in trail],
+        "verified": verified,
+        "trail": [{"Mtilde": e.M_tilde, "attempts": e.attempts, "ok": e.ok} for e in trail],
         "seconds": seconds,
     }
 
@@ -177,8 +173,12 @@ def cmd_construct(args) -> int:
     started = time.perf_counter()
     result = cbc_construct(I, cfg)
     seconds = time.perf_counter() - started
-    trail = [(args.M, 1, result.success)]
-    obj = _result_json(I, args.mode, seed, result.status, result.M, result.z, trail, seconds)
+    trail = [TrailEntry(args.M, 1, result.success, seconds)]
+    # Unlike heuristic_search, cbc_construct does not verify its result.
+    verified = (result.success
+                and _verifier(args.mode)(lattice.Rank1Lattice(args.M, result.z), I))
+    obj = _result_json(I, args.mode, seed, result.status, result.M, result.z, trail, seconds,
+                       verified)
     _emit(obj, args.out, args.format)
     return 0 if result.success else 2
 
@@ -189,8 +189,9 @@ def cmd_search(args) -> int:
     started = time.perf_counter()
     outcome = heuristic_search(I, args.mode, K=args.K, T=args.T, rng=random.Random(seed))
     seconds = time.perf_counter() - started
-    trail = [(e.M_tilde, e.attempts, e.ok) for e in outcome.trail]
-    obj = _result_json(I, args.mode, seed, outcome.status, outcome.M, outcome.z, trail, seconds)
+    # heuristic_search verifies its lattice directly and raises if that fails.
+    obj = _result_json(I, args.mode, seed, outcome.status, outcome.M, outcome.z,
+                       outcome.trail, seconds, outcome.success)
     _emit(obj, args.out, args.format)
     return 0 if outcome.success else 2
 
@@ -211,11 +212,8 @@ def cmd_reconstruct_demo(args) -> int:
     started = time.perf_counter()
     outcome = heuristic_search(I, MODE_RECONSTRUCTION, K=args.K, T=args.T, rng=rng)
     if not outcome.success:
-        obj = {"status": "failed", "d": I.d, "M": None, "z": None,
-               "mode": MODE_RECONSTRUCTION, "seed": seed, "verified": False,
-               "trail": [{"Mtilde": e.M_tilde, "attempts": e.attempts, "ok": e.ok}
-                         for e in outcome.trail],
-               "seconds": time.perf_counter() - started}
+        obj = _result_json(I, MODE_RECONSTRUCTION, seed, outcome.status, None, None,
+                           outcome.trail, time.perf_counter() - started, False)
         _emit(obj, args.out, args.format)
         return 2
     lat = lattice.Rank1Lattice(outcome.M, outcome.z)
@@ -232,7 +230,7 @@ def cmd_reconstruct_demo(args) -> int:
         "z": list(outcome.z),
         "mode": MODE_RECONSTRUCTION,
         "seed": seed,
-        "verified": _verified(I, outcome.M, outcome.z, MODE_RECONSTRUCTION),
+        "verified": True,  # by heuristic_search
         "coefficients": len(I),
         "max_abs_error": max_err,
         "rel_error": max_err / norm1 if norm1 else 0.0,
@@ -268,11 +266,10 @@ def cmd_bench(args) -> int:
             outcome = heuristic_search(I, args.mode, K=args.K, T=args.T,
                                        rng=random.Random(rep_seed))
             seconds = time.perf_counter() - started
-            ok = outcome.success and _verified(I, outcome.M, outcome.z, args.mode)
             rec = RunRecord(exp_id, params["family"], params["d"], params["N"],
                             params["threshold"], args.gamma, args.mode, args.K, args.T,
                             rep_seed, rep, len(I), outcome.M if outcome.success else None,
-                            outcome.status, ok, f"{seconds:.6f}")
+                            outcome.status, outcome.success, f"{seconds:.6f}")
             reps.append(rec)
         records.extend(sorted(reps, key=lambda r: r.rep))
         if not reps:

@@ -285,23 +285,24 @@ def read_set(path) -> FrequencySet:
     Lines starting with '#' and blank lines are ignored; the dimension is
     inferred from the first data line and every later line must match it.
     """
-    rows = []
-    d = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
+        data = [(lineno, s) for lineno, s in enumerate((line.strip() for line in fh), start=1)
+                if s and not s.startswith("#")]
+    if not data:
+        raise ValueError(f"{path}: no frequencies found")
+    try:
+        rows = np.array([s.split() for _, s in data], dtype=np.int64)
+    except (ValueError, OverflowError):
+        # A malformed or ragged file: rescan it line by line to name the
+        # first offending line.
+        rows = []
+        for lineno, stripped in data:
             try:
-                row = [int(p) for p in parts]
+                row = [int(p) for p in stripped.split()]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed frequency line {stripped!r}") from None
-            if d is None:
-                d = len(row)
-            elif len(row) != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} components, got {len(row)}")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} components, "
+                                 f"got {len(row)}")
             rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no frequencies found")
     return FrequencySet(rows)

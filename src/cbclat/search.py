@@ -108,12 +108,12 @@ def _drive(I: FrequencySet, M: int, mode: str, step_candidates, counted_budget: 
     z = [1 % M]
     counts: list[int] = []
     for ell in range(1, I.d):
-        kcol = arr[:, ell]
+        step = kernels.prepare_step(state, arr[:, ell], mode)
         accepted = None
         tested = 0
         for y in step_candidates():
             tested += 1
-            good, candidate_state = kernel(kcol, state, y)
+            good, candidate_state = kernel(step, y)
             if good:
                 accepted = y
                 state = candidate_state

@@ -29,6 +29,7 @@ from cbclat.kernels import (
     check_exactness_integration,
     check_exactness_reconstruction,
     init_residues,
+    prepare_step,
 )
 from cbclat.lattice import (
     Rank1Lattice,
@@ -124,11 +125,11 @@ def test_criterion_03_kernels_match_direct_verifiers():
         arr = I.array
         z = [1]
         for ell in range(1, I.d):
-            kcol = arr[:, ell]
+            step = prepare_step(state, arr[:, ell], mode)
             projected = FrequencySet(arr[:, :ell + 1])
             accepted = None
             for y in range(M):
-                good, cand = kernel(kcol, state, y)
+                good, cand = kernel(step, y)
                 direct = _verifier(mode)(Rank1Lattice(M, tuple(z) + (y,)), projected)
                 assert good == direct, \
                     f"kernel/verifier disagree: mode={mode} M={M} z={z} y={y}"

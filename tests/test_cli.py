@@ -20,6 +20,7 @@ except ModuleNotFoundError:  # Python < 3.11
 
 import cbclat
 import cbclat.cli as cli_mod
+import cbclat.lattice as lattice_mod
 from cbclat.cli import BENCH_COLUMNS, main
 from cbclat.freqset import read_set
 from cbclat.heuristic import SearchOutcome
@@ -290,6 +291,46 @@ def test_search_json_determinism_modulo_seconds(tmp_path):
         del obj["seconds"]
         objs.append(obj)
     assert objs[0] == objs[1]
+
+
+@pytest.mark.parametrize("command, mode", [("search", "reconstruction"),
+                                           ("search", "integration"),
+                                           ("reconstruct-demo", "reconstruction")])
+def test_result_verified_once(tmp_path, capsys, monkeypatch, command, mode):
+    # The search verifies its lattice itself; the CLI reports that verdict
+    # instead of checking the same lattice a second time.
+    setfile = write_axis_set(tmp_path, 3, 4)
+    calls = []
+    name = f"verify_{mode}"
+    original = getattr(lattice_mod, name)
+
+    def counting(lat, I):
+        calls.append(lat)
+        return original(lat, I)
+
+    monkeypatch.setattr(lattice_mod, name, counting)
+    capsys.readouterr()
+    args = [command, setfile, "--seed", "3"] + (["--mode", mode] if command == "search" else [])
+    assert main(args) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["verified"] is True
+    assert len(calls) == 1
+    assert (calls[0].M, list(calls[0].z)) == (obj["M"], obj["z"])
+
+
+def test_readme_seed42_example(tmp_path, capsys):
+    # The example printed in README.md. Pinned on purpose: a change to the
+    # candidate stream has to update the example and this test together.
+    setfile = write_axis_set(tmp_path, 6, 64, name="axis.txt")
+    capsys.readouterr()
+    assert main(["search", setfile, "--mode", "reconstruction", "--seed", "42"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["status"], obj["d"], obj["seed"], obj["verified"]) == ("success", 6, 42, True)
+    assert obj["M"] == 9257
+    assert obj["z"] == [1, 5901, 5228, 6835, 3454, 2185]
+    sizes = (591377, 295693, 147853, 73939, 36973, 18493, 9257)
+    assert obj["trail"] == ([{"Mtilde": m, "attempts": 1, "ok": True} for m in sizes]
+                            + [{"Mtilde": 4637, "attempts": 5, "ok": False}])
 
 
 def test_usage_errors_exit1(capsys):

@@ -266,20 +266,29 @@ def test_read_skips_comments_and_blanks(tmp_path):
 def test_read_rejects_malformed(tmp_path):
     bad1 = tmp_path / "a.txt"
     bad1.write_text("1 x\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a\.txt:1: malformed frequency line '1 x'"):
         read_set(bad1)
     bad2 = tmp_path / "b.txt"
     bad2.write_text("1 2\n3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"b\.txt:2: expected 2 components, got 1"):
         read_set(bad2)
     bad3 = tmp_path / "c.txt"
     bad3.write_text("# only comments\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no frequencies found"):
         read_set(bad3)
     bad4 = tmp_path / "d.txt"
     bad4.write_text(f"{2**40}\n")
     with pytest.raises(ValueError):
         read_set(bad4)
+    # the first offending line is named, past comments and blank lines
+    bad5 = tmp_path / "e.txt"
+    bad5.write_text("1 2\n\n# c\n3 4\n5\n6\n7 y\n")
+    with pytest.raises(ValueError, match=r"e\.txt:5: expected 2 components, got 1"):
+        read_set(bad5)
+    bad6 = tmp_path / "f.txt"
+    bad6.write_text(f"1 2\n{2**70} 3\n")
+    with pytest.raises(ValueError):
+        read_set(bad6)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,32 +1,120 @@
-"""Incremental exactness kernels against hand traces and the direct verifiers."""
+"""Incremental exactness kernels against hand traces, the direct verifiers, and
+a pair-deduplicating reference kernel kept here as an oracle."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from cbclat.freqset import FrequencySet
+from cbclat.freqset import COMPONENT_LIMIT, FrequencySet
 from cbclat.kernels import (
     ResidueState,
     check_exactness_integration,
     check_exactness_reconstruction,
     init_residues,
+    prepare_step,
 )
-from cbclat.lattice import Rank1Lattice, _residues, verify_integration, verify_reconstruction
+from cbclat.lattice import (
+    INT64_SAFE_M,
+    Rank1Lattice,
+    _residues,
+    verify_integration,
+    verify_reconstruction,
+)
+from cbclat.primes import nextprime
+from cbclat.search import CbcConfig, CbcResult, cbc_construct, cbc_construct_basic, \
+    two_step_permutation
 
 # Natural order of {(0,0),(1,0),(0,1)} is (0,0), (0,1), (1,0); hand traces
 # below are written against that row order.
 TRIPLE = FrequencySet([(0, 0), (1, 0), (0, 1)])
 
 
+# --- reference kernels and driver: a full np.unique pair dedup and a full
+# shifted state for every candidate, as the search did before the per-step
+# projection; the drivers must reproduce them exactly.
+
+def _ref_shifted(values, kcol, M, y):
+    y %= M
+    if M <= INT64_SAFE_M:
+        return (values + y * (kcol % M)) % M
+    return np.asarray([(int(v) + y * int(k)) % M for v, k in zip(values, kcol)], dtype=np.int64)
+
+
+def _ref_init(I, M, mode):
+    first = I.array[:, 0]
+    nu = first % M
+    if mode == "integration":
+        return not bool(np.any((first != 0) & (nu == 0))), nu
+    distinct = np.unique(first)
+    return np.unique(distinct % M).shape[0] == distinct.shape[0], nu
+
+
+def _ref_integration(kcol, values, M, y):
+    shifted = _ref_shifted(values, kcol, M, y)
+    return not bool(np.any((kcol != 0) & (shifted == 0))), shifted
+
+
+def _ref_reconstruction(kcol, values, M, y):
+    pairs = np.unique(np.column_stack((values, kcol)), axis=0)
+    res = _ref_shifted(pairs[:, 0], pairs[:, 1], M, y)
+    return np.unique(res).shape[0] == pairs.shape[0], _ref_shifted(values, kcol, M, y)
+
+
+def _ref_drive(I, M, mode, step_candidates, seed):
+    kernel = _ref_integration if mode == "integration" else _ref_reconstruction
+    ok, values = _ref_init(I, M, mode)
+    if not ok:
+        return CbcResult("failed", None, (), mode, M, seed)
+    z = [1 % M]
+    counts = []
+    for ell in range(1, I.d):
+        accepted = None
+        tested = 0
+        for y in step_candidates():
+            tested += 1
+            good, shifted = kernel(I.array[:, ell], values, M, y)
+            if good:
+                accepted, values = y, shifted
+                break
+        counts.append(tested)
+        if accepted is None:
+            return CbcResult("failed", None, tuple(counts), mode, M, seed)
+        z.append(accepted)
+    return CbcResult("success", tuple(z), tuple(counts), mode, M, seed)
+
+
+def _ref_construct(I, cfg):
+    rng = random.Random(cfg.seed)
+    steps = lambda: itertools.islice(two_step_permutation(cfg.M, cfg.T, rng), cfg.T)
+    return _ref_drive(I, cfg.M, cfg.mode, steps, cfg.seed)
+
+
+def _ref_construct_basic(I, M, T, mode, rng):
+    return _ref_drive(I, M, mode, lambda: two_step_permutation(M, T, rng), None)
+
+
+def _kernel(mode):
+    return check_exactness_integration if mode == "integration" else check_exactness_reconstruction
+
+
+def _verifier(mode):
+    return verify_integration if mode == "integration" else verify_reconstruction
+
+
 def test_residue_state_validation():
-    ResidueState(np.array([0, 4]), 5)
+    ResidueState(np.array([0, 4]), 5, np.array([True, False]))
     with pytest.raises(ValueError):
-        ResidueState(np.array([5]), 5)
+        ResidueState(np.array([5]), 5, np.array([True]))
     with pytest.raises(ValueError):
-        ResidueState(np.array([-1]), 5)
+        ResidueState(np.array([-1]), 5, np.array([True]))
     with pytest.raises(ValueError):
-        ResidueState(np.array([[0]]), 5)
+        ResidueState(np.array([[0]]), 5, np.array([[True]]))
+    with pytest.raises(ValueError):
+        ResidueState(np.array([0, 4]), 5, np.array([True]))
+    with pytest.raises(ValueError):
+        ResidueState(np.array([0, 4]), 5, np.array([False, True]))
 
 
 def test_init_residues_integration():
@@ -34,6 +122,7 @@ def test_init_residues_integration():
                               "integration")
     assert ok
     assert state.values.tolist() == [(k % 7) for k in (-3, -2, -1, 0, 1, 2, 3)]
+    assert state.heads.all()
     ok, _ = init_residues(FrequencySet([(5, 0)]), 5, "integration")
     assert not ok  # nonzero first component hits residue 0
 
@@ -46,6 +135,10 @@ def test_init_residues_reconstruction():
     assert sorted(state.values.tolist()) == [0, 2, 2]
     ok, _ = init_residues(I, 11, "reconstruction")
     assert ok
+    # repeated first components count once
+    ok, state = init_residues(FrequencySet([(0, 1), (0, 2), (3, 0)]), 5, "reconstruction")
+    assert ok
+    assert state.heads.tolist() == [True, False, True]
 
 
 def test_init_residues_input_checks():
@@ -53,26 +146,31 @@ def test_init_residues_input_checks():
         init_residues(TRIPLE, 1, "integration")
     with pytest.raises(ValueError):
         init_residues(TRIPLE, 7, "no-such-mode")
+    _, state = init_residues(TRIPLE, 7, "integration")
+    with pytest.raises(ValueError):
+        prepare_step(state, TRIPLE.array[:, 1], "no-such-mode")
 
 
 def test_integration_kernel_hand_trace():
     ok, state = init_residues(TRIPLE, 5, "integration")
     assert ok
     assert state.values.tolist() == [0, 0, 1]
-    kcol = TRIPLE.array[:, 1]  # (0, 1, 0)
-    good, s1 = check_exactness_integration(kcol, state, 1)
+    step = prepare_step(state, TRIPLE.array[:, 1], "integration")  # column (0, 1, 0)
+    good, s1 = check_exactness_integration(step, 1)
     assert good
     assert s1.values.tolist() == [0, 1, 1]
-    good, s0 = check_exactness_integration(kcol, state, 0)
+    good, s0 = check_exactness_integration(step, 0)
     assert not good
-    assert s0.values.tolist() == [0, 0, 1]
+    assert s0 is None  # no state is built for a rejected candidate
     # input state never mutated
     assert state.values.tolist() == [0, 0, 1]
 
 
 def test_integration_kernel_all_zero_column():
     _, state = init_residues(TRIPLE, 5, "integration")
-    good, s = check_exactness_integration(np.zeros(3, dtype=np.int64), state, 3)
+    step = prepare_step(state, np.zeros(3, dtype=np.int64), "integration")
+    assert step.v.shape == (0,)
+    good, s = check_exactness_integration(step, 3)
     assert good
     assert s.values.tolist() == state.values.tolist()
 
@@ -80,45 +178,59 @@ def test_integration_kernel_all_zero_column():
 def test_reconstruction_kernel_hand_trace():
     ok, state = init_residues(TRIPLE, 5, "reconstruction")
     assert ok
-    kcol = TRIPLE.array[:, 1]  # (0, 1, 0)
-    good, _ = check_exactness_reconstruction(kcol, state, 1)
+    assert state.heads.tolist() == [True, False, True]
+    step = prepare_step(state, TRIPLE.array[:, 1], "reconstruction")  # column (0, 1, 0)
+    assert step.heads.tolist() == [True, True, True]
+    good, s1 = check_exactness_reconstruction(step, 1)
     assert not good  # residues (0, 1, 1) collide
-    good, s2 = check_exactness_reconstruction(kcol, state, 2)
+    assert s1 is None
+    good, s2 = check_exactness_reconstruction(step, 2)
     assert good
     assert s2.values.tolist() == [0, 2, 1]
+    assert s2.heads.tolist() == [True, True, True]
 
 
 def test_reconstruction_kernel_single_frequency():
     I = FrequencySet([(4, -3)])
     ok, state = init_residues(I, 7, "reconstruction")
     assert ok
+    step = prepare_step(state, I.array[:, 1], "reconstruction")
     for y in range(7):
-        good, _ = check_exactness_reconstruction(I.array[:, 1], state, y)
+        good, _ = check_exactness_reconstruction(step, y)
         assert good
 
 
 def test_kernels_reject_length_mismatch():
     _, state = init_residues(TRIPLE, 5, "integration")
     with pytest.raises(ValueError):
-        check_exactness_integration(np.array([1, 2]), state, 1)
+        prepare_step(state, np.array([1, 2]), "integration")
     with pytest.raises(ValueError):
-        check_exactness_reconstruction(np.array([1, 2, 3, 4]), state, 1)
+        prepare_step(state, np.array([1, 2, 3, 4]), "reconstruction")
 
 
 def test_reconstruction_kernel_row_permutation_invariant():
+    # The prefix-mask kernel reads rows in natural order; its verdict must
+    # still be the order-free one: the reference pair-dedup kernel on a
+    # random permutation of the same (nu, k) rows.
     rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randrange(2, 10)
-        values = [rng.randrange(11) for _ in range(n)]
-        kcol = [rng.randrange(-4, 5) for _ in range(n)]
-        y = rng.randrange(11)
-        state = ResidueState(np.array(values), 11)
-        base, _ = check_exactness_reconstruction(np.array(kcol), state, y)
-        perm = list(range(n))
+    cases = 0
+    while cases < 30:
+        I, M = _random_instance(rng)
+        z = [1] + [rng.randrange(M) for _ in range(I.d - 2)]
+        values = _residues(I.array, M, z + [0])
+        if not verify_reconstruction(Rank1Lattice(M, tuple(z)), FrequencySet(I.array[:, :-1])):
+            continue
+        heads = np.ones(len(I), dtype=bool)
+        heads[1:] = np.any(I.array[1:, :-1] != I.array[:-1, :-1], axis=1)
+        kcol = I.array[:, -1]
+        step = prepare_step(ResidueState(values, M, heads), kcol, "reconstruction")
+        perm = list(range(len(I)))
         rng.shuffle(perm)
-        state_p = ResidueState(np.array([values[i] for i in perm]), 11)
-        got, _ = check_exactness_reconstruction(np.array([kcol[i] for i in perm]), state_p, y)
-        assert got == base
+        for y in range(M):
+            got, _ = check_exactness_reconstruction(step, y)
+            want, _ = _ref_reconstruction(kcol[perm], values[perm], M, y)
+            assert got == want
+        cases += 1
 
 
 def test_duplicate_projections_do_not_false_negative():
@@ -129,11 +241,12 @@ def test_duplicate_projections_do_not_false_negative():
     M = 7
     ok, state = init_residues(I, M, "reconstruction")
     assert ok
-    kcol = I.array[:, 1]
+    step = prepare_step(state, I.array[:, 1], "reconstruction")
     proj = FrequencySet(I.array[:, :2])
     assert len(proj) == 1
+    assert step.heads.tolist() == [True, False]
     for y in range(M):
-        good, _ = check_exactness_reconstruction(kcol, state, y)
+        good, _ = check_exactness_reconstruction(step, y)
         assert good == verify_reconstruction(Rank1Lattice(M, (1, y)), proj)
 
 
@@ -144,9 +257,9 @@ def test_integer_pairs_equal_mod_m_stay_separate():
     M = 7
     ok, state = init_residues(I, M, "reconstruction")
     assert ok
-    kcol = I.array[:, 1]
+    step = prepare_step(state, I.array[:, 1], "reconstruction")
     for y in range(M):
-        good, _ = check_exactness_reconstruction(kcol, state, y)
+        good, _ = check_exactness_reconstruction(step, y)
         assert not good
         assert not verify_reconstruction(Rank1Lattice(M, (1, y)), I)
 
@@ -159,60 +272,135 @@ def _random_instance(rng):
     return FrequencySet(rows), M
 
 
+def _walk(I, M, mode):
+    """Full construction through the step kernels, trying y = 0, 1, ... and
+    committing only accepted states. Yields (z, state) after every accepted
+    component."""
+    kernel = _kernel(mode)
+    ok, state = init_residues(I, M, mode)
+    if not ok:
+        return
+    z = [1]
+    for ell in range(1, I.d):
+        step = prepare_step(state, I.array[:, ell], mode)
+        for y in range(M):
+            good, cand = kernel(step, y)
+            if good:
+                z.append(y)
+                state = cand
+                yield z, state
+                break
+        else:
+            return
+
+
 def test_carried_residues_match_recomputation():
-    # Walk full CBC constructions committing only accepted states; after each
-    # acceptance the carried vector must equal the from-scratch residues.
+    # After each acceptance the carried vector must equal the from-scratch
+    # residues and the prefix mask must mark each first row of a prefix.
     rng = random.Random(123)
     for mode in ("integration", "reconstruction"):
-        kernel = (check_exactness_integration if mode == "integration"
-                  else check_exactness_reconstruction)
         built = 0
         while built < 25:
             I, M = _random_instance(rng)
-            ok, state = init_residues(I, M, mode)
-            if not ok:
+            if not init_residues(I, M, mode)[0]:
                 continue
-            z = [1]
-            for ell in range(1, I.d):
-                accepted = None
-                for y in range(M):
-                    good, cand = kernel(I.array[:, ell], state, y)
-                    if good:
-                        accepted = y
-                        state = cand
-                        break
-                if accepted is None:
-                    break
-                z.append(accepted)
+            for z, state in _walk(I, M, mode):
                 padded = z + [0] * (I.d - len(z))
                 assert state.values.tolist() == _residues(I.array, M, padded).tolist()
+                prefix = I.array[:, : len(z)]
+                heads = [True] + np.any(prefix[1:] != prefix[:-1], axis=1).tolist()
+                assert state.heads.tolist() == heads
             built += 1
 
 
 def test_accepted_prefixes_satisfy_direct_verifiers():
     rng = random.Random(321)
-    for mode, verifier in (("integration", verify_integration),
-                           ("reconstruction", verify_reconstruction)):
-        kernel = (check_exactness_integration if mode == "integration"
-                  else check_exactness_reconstruction)
+    for mode in ("integration", "reconstruction"):
         built = 0
         while built < 25:
             I, M = _random_instance(rng)
-            ok, state = init_residues(I, M, mode)
-            if not ok:
+            if not init_residues(I, M, mode)[0]:
                 continue
-            z = [1]
-            for ell in range(1, I.d):
-                accepted = None
-                for y in range(M):
-                    good, cand = kernel(I.array[:, ell], state, y)
-                    if good:
-                        accepted = y
-                        state = cand
-                        break
-                if accepted is None:
-                    break
-                z.append(accepted)
+            for z, _ in _walk(I, M, mode):
                 proj = FrequencySet(I.array[:, : len(z)])
-                assert verifier(Rank1Lattice(M, tuple(z)), proj)
+                assert _verifier(mode)(Rank1Lattice(M, tuple(z)), proj)
             built += 1
+
+
+def test_drivers_match_reference_kernel_and_driver():
+    # Same RNG stream, same candidate order: every seed must give the same
+    # z and the same per-step candidate counts as the reference, on both the
+    # bounded driver and the one that sweeps the tail.
+    rng = random.Random(404)
+    compared = 0
+    for trial in range(120):
+        d = rng.randrange(2, 6)
+        n = rng.randrange(1, 40)
+        I = FrequencySet([[rng.randrange(-6, 7) for _ in range(d)] for _ in range(n)])
+        M = rng.choice([5, 7, 11, 17, 31, 61, 127, 257, 509])
+        T = rng.randrange(1, min(M, 12) + 1)
+        for mode in ("integration", "reconstruction"):
+            for seed in (trial, 10_000 + trial, 20_000 + trial):
+                cfg = CbcConfig(M=M, T=T, mode=mode, seed=seed)
+                assert cbc_construct(I, cfg) == _ref_construct(I, cfg)
+                got = cbc_construct_basic(I, M, T, mode, random.Random(seed))
+                assert got == _ref_construct_basic(I, M, T, mode, random.Random(seed))
+                compared += 2
+    assert compared == 120 * 2 * 3 * 2
+
+
+def _big_instance(rng, d, n):
+    near = [COMPONENT_LIMIT - rng.randrange(8) for _ in range(n * d)]
+    rows = [[rng.choice((-1, 1)) * near[i * d + t] if rng.random() < 0.8 else rng.randrange(-2, 3)
+             for t in range(d)] for i in range(n)]
+    # two rows sharing a prefix, so the reconstruction dedup has work to do
+    rows.append(rows[0][:-1] + [rows[0][-1] // 2])
+    # residues and components near M - 1: y = M - 1 takes y * k past 2^63,
+    # and at the first step sends both rows to residue 0
+    rows += [[-1] * d, [-2] * d]
+    return FrequencySet(rows)
+
+
+@pytest.mark.parametrize("mode", ["integration", "reconstruction"])
+def test_kernels_exact_above_int64_bound(mode):
+    # M just past INT64_SAFE_M, where y * k mod M no longer fits int64, and
+    # components within 8 of the component limit. At every step the tested
+    # candidates are one forced to fail (a residue driven to 0, or two
+    # prefixes driven onto one residue), M - 1, M - 2 and random ones; every
+    # verdict must match the direct verifier on the projected set, and every
+    # carried state the recomputed residues.
+    M = nextprime(INT64_SAFE_M)
+    assert M > INT64_SAFE_M
+    rng = random.Random(2718 if mode == "integration" else 3141)
+    I = _big_instance(rng, 4, 12)
+    ok, state = init_residues(I, M, mode)
+    assert ok
+    z = [1]
+    verdicts = []
+    for ell in range(1, I.d):
+        step = prepare_step(state, I.array[:, ell], mode)
+        nu = [int(v) for v in state.values]
+        col = [int(k) for k in I.array[:, ell]]
+        rows = [j for j in range(len(I)) if step.heads[j]]
+        if mode == "integration":
+            j = next(j for j in range(len(I)) if col[j] % M)
+            forced = (-nu[j] * pow(col[j], -1, M)) % M
+        else:
+            i, j = next((i, j) for i in rows for j in rows if (col[i] - col[j]) % M)
+            forced = ((nu[j] - nu[i]) * pow(col[i] - col[j], -1, M)) % M
+        proj = FrequencySet(I.array[:, : ell + 1])
+        accepted = None
+        for y in [forced, M - 1, M - 2] + [rng.randrange(M) for _ in range(4)]:
+            good, cand = _kernel(mode)(step, y)
+            assert good == _verifier(mode)(Rank1Lattice(M, tuple(z) + (y,)), proj)
+            verdicts.append((ell, y, good))
+            if good and accepted is None:
+                accepted = (y, cand)
+        assert not verdicts[-7][2]  # the forced candidate
+        assert accepted is not None
+        z.append(accepted[0])
+        state = accepted[1]
+        padded = z + [0] * (I.d - len(z))
+        assert state.values.tolist() == _residues(I.array, M, padded).tolist()
+    assert _verifier(mode)(Rank1Lattice(M, tuple(z)), I)
+    assert (1, M - 1, False) in verdicts
