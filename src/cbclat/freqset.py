@@ -27,6 +27,17 @@ def _effective_cap(size_cap) -> int:
     return cap
 
 
+def _strictly_increasing(arr: np.ndarray) -> bool:
+    """True iff the rows are in strictly increasing lexicographic order.
+
+    O(n d): each pair of adjacent rows is compared at its first differing
+    column (column 0 for equal rows, which then fail the strict test).
+    """
+    col = (arr[1:] != arr[:-1]).argmax(axis=1)
+    rows = np.arange(col.shape[0])
+    return bool(np.all(arr[1:][rows, col] > arr[:-1][rows, col]))
+
+
 class FrequencySet:
     """Deduplicated, lexicographically sorted set of frequency vectors.
 
@@ -37,7 +48,8 @@ class FrequencySet:
 
     def __init__(self, rows, d: int | None = None):
         try:
-            arr = np.asarray(rows, dtype=np.int64)
+            # A copy, so freezing it below never freezes the caller's buffer.
+            arr = np.array(rows, dtype=np.int64)
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"invalid frequency data: {exc}") from None
         if arr.ndim != 2:
@@ -48,23 +60,10 @@ class FrequencySet:
             raise ValueError(f"expected dimension {d}, got {arr.shape[1]}")
         if np.any(arr > COMPONENT_LIMIT) or np.any(arr < -COMPONENT_LIMIT):
             raise ValueError(f"frequency components must satisfy |k_t| <= {COMPONENT_LIMIT}")
-        arr = np.unique(arr, axis=0)
+        if not _strictly_increasing(arr):
+            arr = np.unique(arr, axis=0)
         arr.setflags(write=False)
         self._arr = arr
-
-    @classmethod
-    def _from_sorted_unique(cls, arr: np.ndarray) -> "FrequencySet":
-        # Fast path for generators that emit rows already deduped and in
-        # natural order; validation is kept, only the re-sort is skipped.
-        obj = cls.__new__(cls)
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("frequency set must contain at least one frequency, d >= 1")
-        if np.any(arr > COMPONENT_LIMIT) or np.any(arr < -COMPONENT_LIMIT):
-            raise ValueError(f"frequency components must satisfy |k_t| <= {COMPONENT_LIMIT}")
-        arr = arr.astype(np.int64, copy=False)
-        arr.setflags(write=False)
-        obj._arr = arr
-        return obj
 
     @property
     def d(self) -> int:
@@ -160,8 +159,8 @@ def gen_cube(d: int, N: int, size_cap=None) -> FrequencySet:
         raise ValueError(f"gen_cube(d={d}, N={N}) exceeds the size cap")
     grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - N
     # np.indices varies the first coordinate slowest, so rows come out in
-    # natural order already.
-    return FrequencySet._from_sorted_unique(grid)
+    # natural order already and skip the re-sort.
+    return FrequencySet(grid)
 
 
 def gen_axis_cross(d: int, N: int, size_cap=None) -> FrequencySet:
@@ -246,7 +245,7 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=
         buf[j] = 0
 
     descend(0, thr)
-    return FrequencySet._from_sorted_unique(np.asarray(rows, dtype=np.int64))
+    return FrequencySet(rows)
 
 
 def difference_set(I: FrequencySet, size_cap=None) -> FrequencySet:

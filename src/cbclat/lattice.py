@@ -3,6 +3,10 @@
 The direct verifiers here are the ground truth the randomized search is
 checked against, so all residue arithmetic is exact: int64 with a proven
 overflow margin, falling back to Python integers beyond it.
+
+Sampling a polynomial on a lattice and reconstructing its coefficients are
+one length-M FFT each, O(M log M + |I| d); on a lattice without the
+reconstruction property, reconstruction returns aliased sums.
 """
 
 from __future__ import annotations
@@ -150,41 +154,32 @@ def eval_poly(p: TrigPolynomial, x) -> complex:
     return complex(phases @ p.coeffs)
 
 
-def _phase_chunks(res: np.ndarray, M: int, sign: int):
-    """Yield (slice, unit-root matrix) chunks of e^(sign 2 pi i j r / M)."""
-    if M > INT64_SAFE_M:
-        raise ValueError("direct transform limited to M <= 3037000499")
-    j = np.arange(M, dtype=np.int64)
-    step = max(1, 2_000_000 // M)
-    for lo in range(0, len(res), step):
-        block = res[lo : lo + step]
-        ang = (block[:, None] * j[None, :]) % M
-        yield slice(lo, lo + len(block)), np.exp((sign * 2j * np.pi / M) * ang)
-
-
 def eval_on_lattice(p: TrigPolynomial, lat: Rank1Lattice) -> np.ndarray:
-    """Sample p at every lattice node; index j holds p((j/M) z mod 1)."""
+    """Sample p at every lattice node; index j holds p((j/M) z mod 1).
+
+    One length-M inverse FFT, O(M log M + |I| d): coefficients are summed
+    into their residues k . z mod M first, so frequencies that alias on a
+    non-reconstructing lattice (integration lattices with M < |I| included)
+    add up as they do in the samples.
+    """
     _check_dims(lat, p.support)
-    res = _residues(p.support.array, lat.M, lat.z)
-    out = np.zeros(lat.M, dtype=np.complex128)
-    for sl, E in _phase_chunks(res, lat.M, +1):
-        out += p.coeffs[sl] @ E
-    return out
+    acc = np.zeros(lat.M, dtype=np.complex128)
+    np.add.at(acc, _residues(p.support.array, lat.M, lat.z), p.coeffs)
+    return np.fft.ifft(acc) * lat.M
 
 
 def reconstruct_coeffs(lat: Rank1Lattice, I: FrequencySet, samples) -> np.ndarray:
     """Recover the coefficients of a polynomial supported on I from samples.
 
-    Direct O(M |I|) transform: coeff_k = mean_j samples_j e^(-2 pi i j (k.z)/M).
-    The caller is responsible for lat satisfying the reconstruction property
-    for I; without it, aliasing mixes coefficients.
+    One length-M FFT, O(M log M + |I| d):
+    coeff_k = mean_j samples_j e^(-2 pi i j (k.z)/M) = fft(samples)[k.z mod M] / M.
+    For samples of a polynomial supported on I, a lattice with the
+    reconstruction property for I gives back its coefficients; on one without
+    it, k gets the aliased sum of the coefficients of every h in I with
+    h . z = k . z mod M.
     """
     _check_dims(lat, I)
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.shape != (lat.M,):
         raise ValueError(f"expected {lat.M} samples, got {samples.shape}")
-    res = _residues(I.array, lat.M, lat.z)
-    out = np.empty(len(I), dtype=np.complex128)
-    for sl, E in _phase_chunks(res, lat.M, -1):
-        out[sl] = E @ samples / lat.M
-    return out
+    return np.fft.fft(samples)[_residues(I.array, lat.M, lat.z)] / lat.M

@@ -213,6 +213,16 @@ def test_reconstruct_demo(tmp_path, capsys):
     assert obj["max_abs_error"] <= 1e-8
 
 
+def test_reconstruct_demo_axis_cross_d10(tmp_path, capsys):
+    setfile = write_axis_set(tmp_path, 10, 64)  # 1,281 frequencies
+    capsys.readouterr()
+    rc = main(["reconstruct-demo", setfile, "--seed", "3"])
+    assert rc == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "success" and obj["coefficients"] == 1281
+    assert obj["rel_error"] <= 1e-10
+
+
 def test_bench_csv_shape(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--set", "axiscross", "--d", "3,2", "--N", "2",

@@ -32,6 +32,58 @@ def test_construction_dedupes_and_sorts():
     assert I.d == 2
 
 
+_SORTED = [(-2, 5), (-1, 0), (-1, 3), (0, -7), (0, 0), (3, -1)]
+
+
+@pytest.mark.parametrize("rows", [
+    _SORTED,
+    _SORTED[::-1],
+    [(-1, 0), (-1, 0), (0, 0), (0, 0), (0, 0), (2, 1)],  # adjacent duplicates
+    [(4, -4, 4)],  # a single row
+    [(0, 1), (1, 0), (0, 2)],  # sorted except the last pair
+    [(1, 2), (1, 1)],  # differs only in the last column
+    [(-(2**31 - 1),), (2**31 - 1,), (0,)],
+])
+def test_construction_equals_numpy_unique(rows):
+    expected = np.unique(np.asarray(rows, dtype=np.int64), axis=0)
+    for given in (rows, np.asarray(rows, dtype=np.int64)):
+        got = FrequencySet(given).array
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1, max_size=40), st.booleans())
+def test_construction_equals_numpy_unique_random(rows, presort):
+    if presort:
+        rows = sorted(set(rows))
+    expected = np.unique(np.asarray(rows, dtype=np.int64), axis=0)
+    assert np.array_equal(FrequencySet(rows).array, expected)
+
+
+def test_sorted_input_skips_the_resort(monkeypatch, tmp_path):
+    write_set(gen_axis_cross(3, 2), tmp_path / "set.txt")
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    FrequencySet(_SORTED)
+    gen_cube(2, 3)
+    gen_weighted_hyperbolic(WeightSpec.inverse_square(), 20, 4)
+    read_set(tmp_path / "set.txt")
+    assert calls == []
+    FrequencySet(_SORTED[::-1])
+    assert calls == [1]
+
+
+def test_construction_copies_ndarray_input():
+    for rows in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):  # sorted, unsorted
+        buf = np.array(rows, dtype=np.int64)
+        I = FrequencySet(buf)
+        buf[0, 0] = 9  # the caller's buffer stays writable ...
+        assert I.items == [(0, 1), (1, 0)]  # ... and the set does not see the write
+
+
 def test_construction_rejects_empty_and_ragged():
     with pytest.raises(ValueError):
         FrequencySet([])

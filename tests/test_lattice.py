@@ -198,3 +198,125 @@ def test_reconstruct_length_check():
     lat = Rank1Lattice(5, (1, 2))
     with pytest.raises(ValueError):
         reconstruct_coeffs(lat, FrequencySet([(0, 0)]), np.zeros(4, dtype=complex))
+
+
+# --- FFT transforms against the direct O(M |I|) transform ----------------
+
+def _direct_phase_chunks(res, M, sign):
+    """Reference: (slice, unit-root matrix) chunks of e^(sign 2 pi i j r / M)."""
+    j = np.arange(M, dtype=np.int64)
+    step = max(1, 2_000_000 // M)
+    for lo in range(0, len(res), step):
+        block = res[lo : lo + step]
+        ang = (block[:, None] * j[None, :]) % M
+        yield slice(lo, lo + len(block)), np.exp((sign * 2j * np.pi / M) * ang)
+
+
+def _python_residues(I, lat):
+    return np.array([sum(k * z for k, z in zip(row, lat.z)) % lat.M for row in I],
+                    dtype=np.int64)
+
+
+def direct_eval_on_lattice(p, lat):
+    res = _python_residues(p.support, lat)
+    out = np.zeros(lat.M, dtype=np.complex128)
+    for sl, E in _direct_phase_chunks(res, lat.M, +1):
+        out += p.coeffs[sl] @ E
+    return out
+
+
+def direct_reconstruct_coeffs(lat, I, samples):
+    res = _python_residues(I, lat)
+    out = np.empty(len(I), dtype=np.complex128)
+    for sl, E in _direct_phase_chunks(res, lat.M, -1):
+        out[sl] = E @ samples / lat.M
+    return out
+
+
+def _random_poly(rng, d, n, span):
+    rows = [tuple(rng.randrange(-span, span + 1) for _ in range(d)) for _ in range(n)]
+    I = FrequencySet(rows)
+    coeffs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(len(I))])
+    return TrigPolynomial(I, coeffs)
+
+
+def _differential_cases():
+    """(polynomial, lattice) pairs: M = 1 and 2, colliding residues, M < |I|."""
+    rng = random.Random(20)
+    cases = []
+    for M in (1, 2):
+        for _ in range(5):
+            d = rng.randrange(1, 4)
+            cases.append((_random_poly(rng, d, rng.randrange(1, 12), 5),
+                          Rank1Lattice(M, tuple(rng.randrange(M) for _ in range(d)))))
+    for _ in range(80):
+        d = rng.randrange(1, 4)
+        p = _random_poly(rng, d, rng.randrange(1, 40), 6)
+        M = rng.randrange(3, 2 * len(p.support) + 3)
+        cases.append((p, Rank1Lattice(M, tuple(rng.randrange(M) for _ in range(d)))))
+    return cases
+
+
+def test_transforms_match_direct_transform():
+    kinds = {"M<=2": 0, "colliding": 0, "M<|I|": 0, "reconstructing": 0}
+    for p, lat in _differential_cases():
+        I = p.support
+        res = _python_residues(I, lat)
+        kinds["M<=2"] += lat.M <= 2
+        kinds["colliding"] += len(set(res.tolist())) < len(I)
+        kinds["M<|I|"] += lat.M < len(I)
+        kinds["reconstructing"] += verify_reconstruction(lat, I)
+        tol = 1e-12 * np.sum(np.abs(p.coeffs))
+        samples = direct_eval_on_lattice(p, lat)
+        assert np.max(np.abs(eval_on_lattice(p, lat) - samples)) <= tol
+        assert np.max(np.abs(reconstruct_coeffs(lat, I, samples)
+                             - direct_reconstruct_coeffs(lat, I, samples))) <= tol
+    assert kinds["M<=2"] == 10 and min(kinds.values()) >= 10, kinds
+
+
+def test_reconstruct_returns_aliased_sums_on_colliding_lattice():
+    seen = 0
+    for p, lat in _differential_cases():
+        I = p.support
+        res = _python_residues(I, lat)
+        if len(set(res.tolist())) == len(I):
+            continue
+        seen += 1
+        rec = reconstruct_coeffs(lat, I, eval_on_lattice(p, lat))
+        aliased = np.array([p.coeffs[res == r].sum() for r in res])
+        assert np.max(np.abs(rec - aliased)) <= 1e-12 * np.sum(np.abs(p.coeffs))
+    assert seen >= 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eval_on_lattice_index_order(data):
+    # Sample j is p at node j: pins the sign of the FFT and its index order.
+    d = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=15))
+    M = data.draw(st.integers(1, 70))
+    z = tuple(data.draw(st.integers(0, M - 1)) for _ in range(d))
+    I = FrequencySet(rows)
+    coeffs = data.draw(st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                                   allow_infinity=False),
+                                min_size=len(I), max_size=len(I)))
+    p = TrigPolynomial(I, coeffs)
+    lat = Rank1Lattice(M, z)
+    got = eval_on_lattice(p, lat)
+    want = np.array([eval_poly(p, x) for x in nodes(lat)])
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.sum(np.abs(p.coeffs)))
+
+
+def test_round_trip_at_a_million_nodes():
+    # The direct transform would need |I| * M, about 1.3e9, unit roots here.
+    I = gen_cube(3, 5)
+    M = nextprime(10**6)
+    assert len(I) == 1331 and M == 1000003
+    result = cbc_construct(I, CbcConfig(M=M, T=50, mode="reconstruction", seed=4))
+    assert result.success
+    lat = Rank1Lattice(M, result.z)
+    assert verify_reconstruction(lat, I)
+    rng = random.Random(9)
+    coeffs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(len(I))])
+    rec = reconstruct_coeffs(lat, I, eval_on_lattice(TrigPolynomial(I, coeffs), lat))
+    assert np.max(np.abs(rec - coeffs)) / np.sum(np.abs(coeffs)) <= 1e-10
