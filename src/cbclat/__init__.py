@@ -48,8 +48,6 @@ from .search import (
     cbc_construct_basic,
     cbc_exhaustive,
     estimate_failure_bound,
-    sample_distinct,
-    shuffle,
     two_step_permutation,
 )
 
@@ -63,8 +61,8 @@ __all__ = [
     "verify_reconstruction", "eval_poly", "eval_on_lattice", "reconstruct_coeffs",
     "ResidueState", "Step", "init_residues", "prepare_step", "check_exactness_integration",
     "check_exactness_reconstruction", "MODE_INTEGRATION", "MODE_RECONSTRUCTION",
-    "CbcConfig", "CbcResult", "sample_distinct", "shuffle", "two_step_permutation",
-    "cbc_construct", "cbc_construct_basic", "cbc_exhaustive", "estimate_failure_bound",
+    "CbcConfig", "CbcResult", "two_step_permutation", "cbc_construct", "cbc_construct_basic",
+    "cbc_exhaustive", "estimate_failure_bound",
     "is_prime", "nextprime", "initial_size", "heuristic_search", "SearchOutcome",
     "TrailEntry",
 ]

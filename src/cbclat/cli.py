@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -42,27 +42,9 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunRecord:
-    experiment: str
-    family: str
-    d: object
-    N: object
-    threshold: object
-    gamma: str
-    mode: str
-    K: int
-    T: int
-    seed: object
-    rep: object
-    card: object
-    M: object
-    status: str
-    verified: object
-    seconds: object
-
-    def row(self):
-        return ["" if getattr(self, c) is None else str(getattr(self, c)) for c in BENCH_COLUMNS]
+def _bench_row(**fields) -> list[str]:
+    """One bench output row in BENCH_COLUMNS order; None becomes empty."""
+    return ["" if fields[c] is None else str(fields[c]) for c in BENCH_COLUMNS]
 
 
 def _parse_gamma(text: str) -> freqset.WeightSpec:
@@ -121,7 +103,8 @@ def _result_json(I, mode, seed, status, M, z, trail, seconds, verified: bool) ->
         "mode": mode,
         "seed": seed,
         "verified": verified,
-        "trail": [{"Mtilde": e.M_tilde, "attempts": e.attempts, "ok": e.ok} for e in trail],
+        "trail": [{"Mtilde": e.M_tilde, "attempts": e.attempts, "ok": e.ok,
+                   "seconds": e.seconds} for e in trail],
         "seconds": seconds,
     }
 
@@ -136,8 +119,12 @@ def _emit(obj: dict, out: str | None, fmt: str) -> None:
         buf.append(",".join(flat.keys()))
         buf.append(",".join("" if v is None else str(v) for v in flat.values()))
         text = "\n".join(buf) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -256,56 +243,37 @@ def cmd_bench(args) -> int:
         for d in _parse_int_list(args.d, "--d"):
             jobs.append((f"{args.set}-d{d}-N{args.N}", dict(family=args.set, d=d, N=args.N, threshold=None)))
 
-    records: list[RunRecord] = []
+    rows = []
     for exp_id, params in sorted(jobs, key=lambda job: job[0]):
         I = _generate(params["family"], params["d"], params["N"], params["threshold"], gamma, args.dmax)
-        reps = []
+        common = dict(experiment=exp_id, **params, gamma=args.gamma, mode=args.mode, K=args.K,
+                      T=args.T, card=len(I))
+        sizes, times = [], []
         for rep in range(args.reps):
             rep_seed = seed0 + rep
             started = time.perf_counter()
             outcome = heuristic_search(I, args.mode, K=args.K, T=args.T,
                                        rng=random.Random(rep_seed))
-            seconds = time.perf_counter() - started
-            rec = RunRecord(exp_id, params["family"], params["d"], params["N"],
-                            params["threshold"], args.gamma, args.mode, args.K, args.T,
-                            rep_seed, rep, len(I), outcome.M if outcome.success else None,
-                            outcome.status, outcome.success, f"{seconds:.6f}")
-            reps.append(rec)
-        records.extend(sorted(reps, key=lambda r: r.rep))
-        if not reps:
+            times.append(time.perf_counter() - started)
+            M = outcome.M if outcome.success else None
+            if M is not None:
+                sizes.append(M)
+            rows.append(_bench_row(**common, seed=rep_seed, rep=rep, M=M, status=outcome.status,
+                                   verified=outcome.success, seconds=f"{times[-1]:.6f}"))
+        if not times:
             continue
-        sizes = [r.M for r in reps if r.M is not None]
-        times = [float(r.seconds) for r in reps]
-        for name, agg_m, agg_t in (
-            ("mean", (sum(sizes) / len(sizes)) if sizes else None,
-             (sum(times) / len(times)) if times else None),
-            ("min", min(sizes) if sizes else None, min(times) if times else None),
-            ("max", max(sizes) if sizes else None, max(times) if times else None),
-        ):
-            records.append(RunRecord(exp_id, params["family"], params["d"], params["N"],
-                                     params["threshold"], args.gamma, args.mode, args.K,
-                                     args.T, None, name, len(I), agg_m, "", "",
-                                     None if agg_t is None else f"{agg_t:.6f}"))
+        for name, agg in (("mean", lambda v: sum(v) / len(v)), ("min", min), ("max", max)):
+            rows.append(_bench_row(**common, seed=None, rep=name,
+                                   M=agg(sizes) if sizes else None, status="", verified="",
+                                   seconds=f"{agg(times):.6f}"))
 
     if args.format == "json":
-        payload = [dict(zip(BENCH_COLUMNS, rec.row())) for rec in records]
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
-    finally:
-        if args.out:
-            fh.close()
+        text = json.dumps([dict(zip(BENCH_COLUMNS, row)) for row in rows], indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([BENCH_COLUMNS, *rows])
+        text = buf.getvalue()
+    _write(text, args.out)
     return 0
 
 

@@ -44,7 +44,7 @@ class FrequencySet:
     Wraps an immutable (n, d) int64 array whose rows are the frequencies.
     """
 
-    __slots__ = ("_arr",)
+    __slots__ = ("_arr", "_nonzeros")
 
     def __init__(self, rows, d: int | None = None):
         try:
@@ -64,6 +64,7 @@ class FrequencySet:
             arr = np.unique(arr, axis=0)
         arr.setflags(write=False)
         self._arr = arr
+        self._nonzeros = None
 
     @property
     def d(self) -> int:
@@ -73,6 +74,21 @@ class FrequencySet:
     def array(self) -> np.ndarray:
         """Read-only (n, d) int64 view of the frequencies in natural order."""
         return self._arr
+
+    def nonzeros(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows j with k_{j,t} != 0, in set order, and those components.
+
+        Built for every column at once on first use (one np.nonzero over the
+        transposed array) and kept, since the set never changes.
+        """
+        if self._nonzeros is None:
+            cols, rows = np.nonzero(self._arr.T)
+            values = self._arr.T[cols, rows]
+            rows.setflags(write=False)
+            values.setflags(write=False)
+            cuts = np.searchsorted(cols, np.arange(1, self.d))
+            self._nonzeros = tuple(zip(np.split(rows, cuts), np.split(values, cuts)))
+        return self._nonzeros[t]
 
     @property
     def items(self) -> list[tuple[int, ...]]:
@@ -163,21 +179,24 @@ def gen_cube(d: int, N: int, size_cap=None) -> FrequencySet:
     return FrequencySet(grid)
 
 
+def _axis_rows(D: int, N: int) -> np.ndarray:
+    """The axis cross in D dimensions in natural order: the negative values
+    by position ascending, the zero row, then the positive values by
+    position descending."""
+    rows = np.zeros((2 * D * N + 1, D), dtype=np.int64)
+    i = np.arange(D * N)
+    rows[i, i // N] = i % N - N
+    rows[D * N + 1 + i, D - 1 - i // N] = i % N + 1
+    return rows
+
+
 def gen_axis_cross(d: int, N: int, size_cap=None) -> FrequencySet:
     """Axis cross: at most one nonzero component, of magnitude <= N."""
     if d < 1 or N < 0:
         raise ValueError("need d >= 1, N >= 0")
-    n = 2 * d * N + 1
-    if n > _effective_cap(size_cap):
+    if 2 * d * N + 1 > _effective_cap(size_cap):
         raise ValueError(f"gen_axis_cross(d={d}, N={N}) exceeds the size cap")
-    rows = np.zeros((n, d), dtype=np.int64)
-    i = 1
-    for t in range(d):
-        for v in range(1, N + 1):
-            rows[i, t] = v
-            rows[i + 1, t] = -v
-            i += 2
-    return FrequencySet(rows)
+    return FrequencySet(_axis_rows(d, N))
 
 
 def gen_superposition2(d: int, N: int, size_cap=None) -> FrequencySet:
@@ -189,21 +208,22 @@ def gen_superposition2(d: int, N: int, size_cap=None) -> FrequencySet:
     n = 2 * N * d * (1 + (d - 1) * N) + 1
     if n > _effective_cap(size_cap):
         raise ValueError(f"gen_superposition2(d={d}, N={N}) exceeds the size cap")
+    # Natural order: a row whose first nonzero component is k_s < 0 comes
+    # before every row with k_s = 0, and is followed by an axis cross in the
+    # later columns. So the blocks k_s = -N..-1 run for s = 0..d-2, then the
+    # last column alone takes -N..N, then the blocks k_s = 1..N run for
+    # s = d-2..0.
     rows = np.zeros((n, d), dtype=np.int64)
-    i = 1
-    for t in range(d):
-        for v in range(1, N + 1):
-            rows[i, t] = v
-            rows[i + 1, t] = -v
-            i += 2
-    nz = [v for v in range(-N, N + 1) if v != 0]
-    for s in range(d):
-        for t in range(s + 1, d):
-            for v in nz:
-                for w in nz:
-                    rows[i, s] = v
-                    rows[i, t] = w
-                    i += 1
+    blocks = [(s, np.arange(-N, 0)) for s in range(d - 1)]
+    blocks += [(d - 1, np.arange(-N, N + 1))]
+    blocks += [(s, np.arange(1, N + 1)) for s in range(d - 2, -1, -1)]
+    i = 0
+    for s, values in blocks:
+        tail = _axis_rows(d - 1 - s, N)
+        m = values.shape[0] * tail.shape[0]
+        rows[i:i + m, s] = np.repeat(values, tail.shape[0])
+        rows[i:i + m, s + 1:] = np.tile(tail, (values.shape[0], 1))
+        i += m
     assert i == n
     return FrequencySet(rows)
 

@@ -9,16 +9,21 @@ vector nu accumulated over steps 1..l-1:
 
 prepare_step does the y-independent work once per step: it selects the rows
 the verdict reads and projects their residues and components. A candidate
-then costs one (v + y k) mod M over those rows and a sort (reconstruction) or
-a zero test (integration); the full state is updated only on acceptance.
+then costs one (v + y k) mod M over those rows and a zero test or a sort; a
+new state is built only on acceptance.
 
-Prefix mask: FrequencySet rows are in natural order, so rows sharing a
-length-l prefix are contiguous and the first of each, heads[j], is the row
-whose prefix differs from row j-1's. Step l extends the carried mask with
-heads[1:] |= k_{1:,l} != k_{:-1,l}. The selected rows are then exactly the
-projected set, so the verdict is the direct verifier's on it; and since every
-accepted step keeps distinct prefixes on distinct residues, they are also one
-row per distinct pair (nu_j, k_{j,l}).
+Integration reads only the rows with k_{j,l} != 0, which FrequencySet keeps
+per column, so a step costs O(nonzeros of column l): the other rows neither
+move nor reject. An accepted state is nu with the new residues written back
+at those rows. Integration states carry no prefix mask.
+
+Reconstruction keeps a prefix mask. FrequencySet rows are in natural order,
+so rows sharing a length-l prefix are contiguous, and heads[j] marks the row
+whose prefix differs from row j-1's. Step l extends the mask with
+heads[1:] |= k_{1:,l} != k_{:-1,l}; the selected rows are then exactly the
+projected set, so the verdict is the direct verifier's on it. Since accepted
+steps keep distinct prefixes on distinct residues, they are also one row per
+distinct pair (nu_j, k_{j,l}). An accepted state is recomputed over all rows.
 
 Residues stay int64 up to INT64_SAFE_M; above it the projected arrays hold
 Python ints, so the same expressions stay exact for any M.
@@ -41,39 +46,43 @@ MODES = (MODE_INTEGRATION, MODE_RECONSTRUCTION)
 @dataclass(frozen=True)
 class ResidueState:
     """nu_j = k_j . (z_1..z_l, 0..) mod M for every frequency k_j, in set order,
-    and heads[j]: whether row j's length-l prefix differs from row j-1's."""
+    and, for reconstruction, heads[j]: whether row j's length-l prefix
+    differs from row j-1's (None for integration)."""
 
     values: np.ndarray
     M: int
-    heads: np.ndarray
+    heads: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.int64)
-        h = np.asarray(self.heads, dtype=bool)
         if self.M < 1:
             raise ValueError("modulus must be >= 1")
         if v.ndim != 1 or v.shape[0] < 1:
             raise ValueError("residue vector must be one-dimensional and non-empty")
-        if np.any(v < 0) or np.any(v >= self.M):
+        if (v < 0).any() or (v >= self.M).any():
             raise ValueError("residues must lie in [0, M)")
-        if h.shape != v.shape or not h[0]:
-            raise ValueError("prefix mask must match the residues and start with True")
+        if self.heads is not None:
+            h = np.asarray(self.heads, dtype=bool)
+            if h.shape != v.shape or not h[0]:
+                raise ValueError("prefix mask must match the residues and start with True")
+            h.setflags(write=False)
+            object.__setattr__(self, "heads", h)
         v.setflags(write=False)
-        h.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "heads", h)
 
 
 @dataclass(frozen=True)
 class Step:
-    """One CBC step's y-independent part: the column, the extended prefix
-    mask, and the selected rows' residues v and components k mod M."""
+    """One CBC step's y-independent part: the rows the verdict reads, their
+    residues v and components k mod M, and, for reconstruction only, the
+    whole column and the extended prefix mask an accepted state is built from."""
 
     state: ResidueState
-    kcol: np.ndarray
-    heads: np.ndarray
+    rows: np.ndarray
     v: np.ndarray
     k: np.ndarray
+    kcol: np.ndarray | None = None
+    heads: np.ndarray | None = None
 
 
 def _exact(a: np.ndarray, M: int) -> np.ndarray:
@@ -84,7 +93,7 @@ def _exact(a: np.ndarray, M: int) -> np.ndarray:
 def _distinct(res: np.ndarray) -> bool:
     """Whether the entries of res are pairwise distinct; sorts res in place."""
     res.sort()
-    return not bool(np.any(res[1:] == res[:-1]))
+    return not (res[1:] == res[:-1]).any()
 
 
 def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueState]:
@@ -100,33 +109,35 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
         raise ValueError(f"unknown mode: {mode!r}")
     first = I.array[:, 0]
     nu = first % M
+    if mode == MODE_INTEGRATION:
+        return not bool(np.any((first != 0) & (nu == 0))), ResidueState(nu, M)
     heads = np.ones(first.shape[0], dtype=bool)
     heads[1:] = first[1:] != first[:-1]
+    return _distinct(nu[heads]), ResidueState(nu, M, heads)
+
+
+def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> Step:
+    """Select and project the rows that step ell's verdict reads, once per step.
+
+    state holds the residues of I's rows over components 0..ell-1.
+    """
+    if len(I) != state.values.shape[0]:
+        raise ValueError("frequency set size disagrees with residue vector")
+    if not 0 <= ell < I.d:
+        raise ValueError(f"component index {ell} outside 0..{I.d - 1}")
+    M = state.M
     if mode == MODE_INTEGRATION:
-        ok = not bool(np.any((first != 0) & (nu == 0)))
-    else:
-        ok = _distinct(nu[heads])
-    return ok, ResidueState(nu, M, heads)
-
-
-def prepare_step(state: ResidueState, kcol, mode: str) -> Step:
-    """Select and project the rows the mode's verdict reads, once per step."""
-    kcol = np.asarray(kcol, dtype=np.int64)
-    if kcol.shape != state.values.shape:
-        raise ValueError("component column length disagrees with residue vector")
-    if mode not in MODES:
+        rows, k = I.nonzeros(ell)
+        return Step(state, rows, _exact(state.values[rows], M), _exact(k % M, M))
+    if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
+    if state.heads is None:
+        raise ValueError("reconstruction needs a state with a prefix mask")
+    kcol = I.array[:, ell]
     heads = state.heads.copy()
     heads[1:] |= kcol[1:] != kcol[:-1]
-    sel = kcol != 0 if mode == MODE_INTEGRATION else heads
-    M = state.M
-    return Step(state, kcol, heads, _exact(state.values[sel], M), _exact(kcol[sel] % M, M))
-
-
-def _accept(step: Step, y: int) -> ResidueState:
-    M = step.state.M
-    values = (_exact(step.state.values, M) + y * _exact(step.kcol % M, M)) % M
-    return ResidueState(values, M, step.heads)
+    return Step(state, heads, _exact(state.values[heads], M), _exact(kcol[heads] % M, M),
+                kcol, heads)
 
 
 def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState | None]:
@@ -134,9 +145,13 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState 
 
     Returns the verdict and, only if it is True, the state after the step.
     """
-    y %= step.state.M
-    ok = not bool(np.any((step.v + y * step.k) % step.state.M == 0))
-    return ok, _accept(step, y) if ok else None
+    M = step.state.M
+    r = (step.v + (y % M) * step.k) % M
+    if not r.all():  # some row with k_l != 0 lands on residue 0
+        return False, None
+    values = step.state.values.copy()
+    values[step.rows] = r
+    return True, ResidueState(values, M)
 
 
 def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueState | None]:
@@ -147,6 +162,9 @@ def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueSta
     residues reject y. Returns the verdict and, only if it is True, the state
     after the step.
     """
-    y %= step.state.M
-    ok = _distinct((step.v + y * step.k) % step.state.M)
-    return ok, _accept(step, y) if ok else None
+    M = step.state.M
+    y %= M
+    if not _distinct((step.v + y * step.k) % M):
+        return False, None
+    values = (_exact(step.state.values, M) + y * _exact(step.kcol % M, M)) % M
+    return True, ResidueState(values, M, step.heads)

@@ -1,11 +1,10 @@
 """Randomized candidate generation and the component-by-component drivers.
 
-The candidate stream per step is a uniformly random permutation of {0..M-1}
-produced in two stages: a Floyd sample of T values, shuffled, then (only if
-those T are exhausted) a shuffled permutation of the complement. The bounded
-driver cbc_construct reads at most the first T entries; cbc_construct_basic
-reads through the tail and can only fail when no admissible component exists
-at all.
+The candidate stream per step is a uniformly random permutation of {0..M-1},
+generated lazily by a sparse Fisher-Yates shuffle: one random draw per
+candidate read. The bounded driver cbc_construct reads at most the first T
+entries; cbc_construct_basic reads on through the rest and can only fail
+when no admissible component exists at all.
 
 All randomness flows through a caller-supplied random.Random (stdlib Mersenne
 Twister), so a seed pins the full candidate order. Reproducibility holds for
@@ -55,41 +54,24 @@ class CbcResult:
         return self.status == "success"
 
 
-def sample_distinct(T: int, M: int, rng: random.Random) -> set[int]:
-    """Uniformly random T-subset of {0..M-1} by Floyd's method, O(T) draws."""
-    if not 0 <= T <= M:
-        raise ValueError("need 0 <= T <= M")
-    chosen: set[int] = set()
-    for j in range(M - T, M):
-        t = rng.randrange(j + 1)
-        chosen.add(j if t in chosen else t)
-    return chosen
+def two_step_permutation(M: int, rng: random.Random):
+    """Uniformly random permutation of {0..M-1}, drawn lazily.
 
-
-def shuffle(items, rng: random.Random) -> list:
-    """Fisher-Yates; returns a uniformly shuffled copy, input untouched."""
-    out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
-
-
-def two_step_permutation(M: int, T: int, rng: random.Random):
-    """Generate a uniformly random permutation of {0..M-1} lazily.
-
-    The first T entries are a shuffled Floyd sample; the remaining M - T are
-    a shuffled complement, built only if a consumer reads past the head. Both
-    stages together are uniform over all M! orderings.
+    Sparse Fisher-Yates: entry i swaps position i with a position drawn by
+    rng.randrange(i, M), and a dict holds the positions swapped so far. Each
+    entry read costs one draw and one dict update; nothing is drawn for the
+    entries that are never read. (The name predates the single-stage
+    generator; the benchmark's tracer wraps it under this name.)
     """
-    if not 1 <= T <= M:
-        raise ValueError("need 1 <= T <= M")
+    if M < 1:
+        raise ValueError("need M >= 1")
 
     def entries():
-        head_set = sample_distinct(T, M, rng)
-        yield from shuffle(sorted(head_set), rng)
-        if T < M:
-            yield from shuffle([v for v in range(M) if v not in head_set], rng)
+        swapped: dict[int, int] = {}
+        for i in range(M):
+            j = rng.randrange(i, M)
+            yield swapped.get(j, j)
+            swapped[j] = swapped.pop(i, i)
 
     return entries()
 
@@ -104,11 +86,10 @@ def _drive(I: FrequencySet, M: int, mode: str, step_candidates, counted_budget: 
     ok, state = kernels.init_residues(I, M, mode)
     if not ok:
         return CbcResult("failed", None, (), mode, M, seed)
-    arr = I.array
     z = [1 % M]
     counts: list[int] = []
     for ell in range(1, I.d):
-        step = kernels.prepare_step(state, arr[:, ell], mode)
+        step = kernels.prepare_step(state, I, ell, mode)
         accepted = None
         tested = 0
         for y in step_candidates():
@@ -134,9 +115,10 @@ def cbc_construct(I: FrequencySet, cfg: CbcConfig, rng: random.Random | None = N
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    # islice never asks for entry T+1, so the permutation tail is never built
-    # and the RNG consumption per step is a constant 2T - 1 draws.
-    steps = lambda: itertools.islice(two_step_permutation(cfg.M, cfg.T, rng), cfg.T)
+    # islice never asks for entry T+1, so a step draws once per candidate it
+    # tests. The generator is looked up at call time, so a wrapper installed
+    # on the module attribute sees every step.
+    steps = lambda: itertools.islice(two_step_permutation(cfg.M, rng), cfg.T)
     return _drive(I, cfg.M, cfg.mode, steps, cfg.T, cfg.seed)
 
 
@@ -146,13 +128,14 @@ def cbc_construct_basic(I: FrequencySet, M: int, T: int, mode: str,
 
     Behaves identically to cbc_construct while candidates remain in the head
     (same RNG stream, same accepted components); a step fails only when all
-    M possible components are inadmissible for the current prefix.
+    M possible components are inadmissible for the current prefix. The
+    candidate order does not depend on T, which only names that head.
     """
     if not 1 <= T <= M:
         raise ValueError("candidate budget must satisfy 1 <= T <= M")
     if rng is None:
         rng = random.Random()
-    steps = lambda: two_step_permutation(M, T, rng)
+    steps = lambda: two_step_permutation(M, rng)
     return _drive(I, M, mode, steps, M, None)
 
 

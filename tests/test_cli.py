@@ -28,6 +28,11 @@ from cbclat.lattice import Rank1Lattice, verify_reconstruction
 from cbclat.primes import is_prime
 
 
+def _trail(obj):
+    """The trail without its timings, which vary run to run."""
+    return [{k: v for k, v in e.items() if k != "seconds"} for e in obj["trail"]]
+
+
 def write_axis_set(tmp_path, d, N, name="set.txt"):
     path = tmp_path / name
     assert main(["gen", "--set", "axiscross", "--d", str(d), "--N", str(N),
@@ -77,7 +82,8 @@ def test_construct_success(tmp_path, capsys):
     assert obj["status"] == "success"
     assert obj["d"] == 2 and obj["M"] == 11 and obj["seed"] == 3
     assert obj["mode"] == "reconstruction" and obj["verified"] is True
-    assert obj["trail"] == [{"Mtilde": 11, "attempts": 1, "ok": True}]
+    assert _trail(obj) == [{"Mtilde": 11, "attempts": 1, "ok": True}]
+    assert obj["trail"][0]["seconds"] >= 0
     assert verify_reconstruction(Rank1Lattice(11, tuple(obj["z"])),
                                  read_set(setfile))
 
@@ -105,7 +111,7 @@ def test_construct_failure_exit2(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "failed"
     assert obj["M"] is None and obj["z"] is None and obj["verified"] is False
-    assert obj["trail"] == [{"Mtilde": 5, "attempts": 1, "ok": False}]
+    assert _trail(obj) == [{"Mtilde": 5, "attempts": 1, "ok": False}]
 
 
 def test_construct_composite_m_warns(tmp_path, capsys):
@@ -146,7 +152,8 @@ def test_search_json_schema(tmp_path, capsys):
     assert len(obj["z"]) == 3 and obj["z"][0] == 1
     assert obj["M"] >= 61  # pigeonhole: 61 frequencies
     for entry in obj["trail"]:
-        assert set(entry) == {"Mtilde", "attempts", "ok"}
+        assert set(entry) == {"Mtilde", "attempts", "ok", "seconds"}
+        assert 0 <= entry["seconds"] <= obj["seconds"]
     sizes = [entry["Mtilde"] for entry in obj["trail"]]
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
@@ -299,6 +306,7 @@ def test_search_json_determinism_modulo_seconds(tmp_path):
         assert main(["search", setfile, "--seed", "8", "--out", str(path)]) == 0
         obj = json.loads(path.read_text())
         del obj["seconds"]
+        obj["trail"] = _trail(obj)
         objs.append(obj)
     assert objs[0] == objs[1]
 
@@ -337,10 +345,11 @@ def test_readme_seed42_example(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert (obj["status"], obj["d"], obj["seed"], obj["verified"]) == ("success", 6, 42, True)
     assert obj["M"] == 9257
-    assert obj["z"] == [1, 5901, 5228, 6835, 3454, 2185]
-    sizes = (591377, 295693, 147853, 73939, 36973, 18493, 9257)
-    assert obj["trail"] == ([{"Mtilde": m, "attempts": 1, "ok": True} for m in sizes]
-                            + [{"Mtilde": 4637, "attempts": 5, "ok": False}])
+    assert obj["z"] == [1, 3684, 5540, 4576, 7953, 3547]
+    sizes = (591377, 295693, 147853, 73939, 36973, 18493)
+    assert _trail(obj) == ([{"Mtilde": m, "attempts": 1, "ok": True} for m in sizes]
+                           + [{"Mtilde": 9257, "attempts": 2, "ok": True},
+                              {"Mtilde": 4637, "attempts": 5, "ok": False}])
 
 
 def test_usage_errors_exit1(capsys):

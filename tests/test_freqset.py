@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbclat.freqset as freqset_mod
 from cbclat.freqset import (
     FrequencySet,
     WeightSpec,
@@ -70,10 +71,44 @@ def test_sorted_input_skips_the_resort(monkeypatch, tmp_path):
     FrequencySet(_SORTED)
     gen_cube(2, 3)
     gen_weighted_hyperbolic(WeightSpec.inverse_square(), 20, 4)
+    gen_axis_cross(4, 3)
+    gen_superposition2(5, 2)
     read_set(tmp_path / "set.txt")
     assert calls == []
     FrequencySet(_SORTED[::-1])
     assert calls == [1]
+
+
+@pytest.mark.parametrize("gen, d, N", [(g, d, N) for d in range(1, 6) for N in range(4)
+                                       for g in (gen_axis_cross, gen_superposition2)
+                                       if d >= 2 or g is gen_axis_cross])
+def test_generators_emit_natural_order(monkeypatch, gen, d, N):
+    # The rows a generator hands to FrequencySet are already what the
+    # construction would make of them: sorted, without duplicates.
+    emitted = []
+
+    def spy(rows):
+        emitted.append(np.array(rows))
+        return FrequencySet(rows)
+
+    monkeypatch.setattr(freqset_mod, "FrequencySet", spy)
+    I = gen(d, N)
+    assert np.array_equal(emitted[0], np.unique(emitted[0], axis=0))
+    assert np.array_equal(I.array, emitted[0])
+
+
+def test_column_nonzeros():
+    I = FrequencySet([(0, 0, 3), (1, 0, -2), (2, 0, 0), (-1, 5, 0)])  # rows re-sorted
+    assert I.array[:, 0].tolist() == [-1, 0, 1, 2]
+    for t in range(I.d):
+        rows, values = I.nonzeros(t)
+        assert rows.tolist() == np.flatnonzero(I.array[:, t]).tolist()
+        assert values.tolist() == I.array[rows, t].tolist()
+        assert not rows.flags.writeable and not values.flags.writeable
+    assert I.nonzeros(1)[0].tolist() == [0]
+    assert I.nonzeros(2)[1].tolist() == [3, -2]
+    zero = FrequencySet([(0, 0)])
+    assert zero.nonzeros(0)[0].shape == zero.nonzeros(1)[1].shape == (0,)
 
 
 def test_construction_copies_ndarray_input():

@@ -87,12 +87,12 @@ def _ref_drive(I, M, mode, step_candidates, seed):
 
 def _ref_construct(I, cfg):
     rng = random.Random(cfg.seed)
-    steps = lambda: itertools.islice(two_step_permutation(cfg.M, cfg.T, rng), cfg.T)
+    steps = lambda: itertools.islice(two_step_permutation(cfg.M, rng), cfg.T)
     return _ref_drive(I, cfg.M, cfg.mode, steps, cfg.seed)
 
 
 def _ref_construct_basic(I, M, T, mode, rng):
-    return _ref_drive(I, M, mode, lambda: two_step_permutation(M, T, rng), None)
+    return _ref_drive(I, M, mode, lambda: two_step_permutation(M, rng), None)
 
 
 def _kernel(mode):
@@ -105,6 +105,9 @@ def _verifier(mode):
 
 def test_residue_state_validation():
     ResidueState(np.array([0, 4]), 5, np.array([True, False]))
+    assert ResidueState(np.array([0, 4]), 5).heads is None  # an integration state
+    with pytest.raises(ValueError):
+        ResidueState(np.array([5]), 5)
     with pytest.raises(ValueError):
         ResidueState(np.array([5]), 5, np.array([True]))
     with pytest.raises(ValueError):
@@ -122,7 +125,7 @@ def test_init_residues_integration():
                               "integration")
     assert ok
     assert state.values.tolist() == [(k % 7) for k in (-3, -2, -1, 0, 1, 2, 3)]
-    assert state.heads.all()
+    assert state.heads is None  # integration carries no prefix mask
     ok, _ = init_residues(FrequencySet([(5, 0)]), 5, "integration")
     assert not ok  # nonzero first component hits residue 0
 
@@ -148,17 +151,24 @@ def test_init_residues_input_checks():
         init_residues(TRIPLE, 7, "no-such-mode")
     _, state = init_residues(TRIPLE, 7, "integration")
     with pytest.raises(ValueError):
-        prepare_step(state, TRIPLE.array[:, 1], "no-such-mode")
+        prepare_step(state, TRIPLE, 1, "no-such-mode")
+    for ell in (-1, 2):
+        with pytest.raises(ValueError):
+            prepare_step(state, TRIPLE, ell, "integration")
+    with pytest.raises(ValueError):  # an integration state has no prefix mask
+        prepare_step(state, TRIPLE, 1, "reconstruction")
 
 
 def test_integration_kernel_hand_trace():
     ok, state = init_residues(TRIPLE, 5, "integration")
     assert ok
     assert state.values.tolist() == [0, 0, 1]
-    step = prepare_step(state, TRIPLE.array[:, 1], "integration")  # column (0, 1, 0)
+    step = prepare_step(state, TRIPLE, 1, "integration")  # column (0, 1, 0)
+    assert step.rows.tolist() == [1]
     good, s1 = check_exactness_integration(step, 1)
     assert good
     assert s1.values.tolist() == [0, 1, 1]
+    assert s1.heads is None
     good, s0 = check_exactness_integration(step, 0)
     assert not good
     assert s0 is None  # no state is built for a rejected candidate
@@ -167,19 +177,36 @@ def test_integration_kernel_hand_trace():
 
 
 def test_integration_kernel_all_zero_column():
-    _, state = init_residues(TRIPLE, 5, "integration")
-    step = prepare_step(state, np.zeros(3, dtype=np.int64), "integration")
-    assert step.v.shape == (0,)
-    good, s = check_exactness_integration(step, 3)
-    assert good
-    assert s.values.tolist() == state.values.tolist()
+    I = FrequencySet([(0, 0), (1, 0), (2, 0)])
+    _, state = init_residues(I, 5, "integration")
+    step = prepare_step(state, I, 1, "integration")
+    assert step.rows.shape == step.v.shape == step.k.shape == (0,)
+    for y in range(5):
+        good, s = check_exactness_integration(step, y)
+        assert good
+        assert s.values.tolist() == state.values.tolist()
+
+
+def test_integration_kernel_single_nonzero_row():
+    # Only row (2, 3) has k_2 != 0: y = 1 sends it to 2 + 3 = 0 mod 5, every
+    # other y is accepted and moves that row alone.
+    I = FrequencySet([(0, 0), (1, 0), (2, 3)])
+    _, state = init_residues(I, 5, "integration")
+    step = prepare_step(state, I, 1, "integration")
+    assert step.rows.tolist() == [2]
+    for y in range(-5, 10):
+        good, s = check_exactness_integration(step, y)
+        assert good == verify_integration(Rank1Lattice(5, (1, y % 5)), I)
+        assert good == (y % 5 != 1)
+        if good:
+            assert s.values.tolist() == _residues(I.array, 5, [1, y % 5]).tolist()
 
 
 def test_reconstruction_kernel_hand_trace():
     ok, state = init_residues(TRIPLE, 5, "reconstruction")
     assert ok
     assert state.heads.tolist() == [True, False, True]
-    step = prepare_step(state, TRIPLE.array[:, 1], "reconstruction")  # column (0, 1, 0)
+    step = prepare_step(state, TRIPLE, 1, "reconstruction")  # column (0, 1, 0)
     assert step.heads.tolist() == [True, True, True]
     good, s1 = check_exactness_reconstruction(step, 1)
     assert not good  # residues (0, 1, 1) collide
@@ -194,7 +221,7 @@ def test_reconstruction_kernel_single_frequency():
     I = FrequencySet([(4, -3)])
     ok, state = init_residues(I, 7, "reconstruction")
     assert ok
-    step = prepare_step(state, I.array[:, 1], "reconstruction")
+    step = prepare_step(state, I, 1, "reconstruction")
     for y in range(7):
         good, _ = check_exactness_reconstruction(step, y)
         assert good
@@ -203,9 +230,11 @@ def test_reconstruction_kernel_single_frequency():
 def test_kernels_reject_length_mismatch():
     _, state = init_residues(TRIPLE, 5, "integration")
     with pytest.raises(ValueError):
-        prepare_step(state, np.array([1, 2]), "integration")
+        prepare_step(state, FrequencySet([(0, 1), (1, 2)]), 1, "integration")
+    _, state = init_residues(TRIPLE, 5, "reconstruction")
     with pytest.raises(ValueError):
-        prepare_step(state, np.array([1, 2, 3, 4]), "reconstruction")
+        prepare_step(state, FrequencySet([(0, 1), (1, 2), (2, 3), (3, 4)]), 1,
+                     "reconstruction")
 
 
 def test_reconstruction_kernel_row_permutation_invariant():
@@ -223,7 +252,7 @@ def test_reconstruction_kernel_row_permutation_invariant():
         heads = np.ones(len(I), dtype=bool)
         heads[1:] = np.any(I.array[1:, :-1] != I.array[:-1, :-1], axis=1)
         kcol = I.array[:, -1]
-        step = prepare_step(ResidueState(values, M, heads), kcol, "reconstruction")
+        step = prepare_step(ResidueState(values, M, heads), I, I.d - 1, "reconstruction")
         perm = list(range(len(I)))
         rng.shuffle(perm)
         for y in range(M):
@@ -241,7 +270,7 @@ def test_duplicate_projections_do_not_false_negative():
     M = 7
     ok, state = init_residues(I, M, "reconstruction")
     assert ok
-    step = prepare_step(state, I.array[:, 1], "reconstruction")
+    step = prepare_step(state, I, 1, "reconstruction")
     proj = FrequencySet(I.array[:, :2])
     assert len(proj) == 1
     assert step.heads.tolist() == [True, False]
@@ -257,7 +286,7 @@ def test_integer_pairs_equal_mod_m_stay_separate():
     M = 7
     ok, state = init_residues(I, M, "reconstruction")
     assert ok
-    step = prepare_step(state, I.array[:, 1], "reconstruction")
+    step = prepare_step(state, I, 1, "reconstruction")
     for y in range(M):
         good, _ = check_exactness_reconstruction(step, y)
         assert not good
@@ -282,7 +311,7 @@ def _walk(I, M, mode):
         return
     z = [1]
     for ell in range(1, I.d):
-        step = prepare_step(state, I.array[:, ell], mode)
+        step = prepare_step(state, I, ell, mode)
         for y in range(M):
             good, cand = kernel(step, y)
             if good:
@@ -296,7 +325,8 @@ def _walk(I, M, mode):
 
 def test_carried_residues_match_recomputation():
     # After each acceptance the carried vector must equal the from-scratch
-    # residues and the prefix mask must mark each first row of a prefix.
+    # residues; a reconstruction state's prefix mask must mark each first
+    # row of a prefix, and an integration state carries no mask.
     rng = random.Random(123)
     for mode in ("integration", "reconstruction"):
         built = 0
@@ -307,6 +337,9 @@ def test_carried_residues_match_recomputation():
             for z, state in _walk(I, M, mode):
                 padded = z + [0] * (I.d - len(z))
                 assert state.values.tolist() == _residues(I.array, M, padded).tolist()
+                if mode == "integration":
+                    assert state.heads is None
+                    continue
                 prefix = I.array[:, : len(z)]
                 heads = [True] + np.any(prefix[1:] != prefix[:-1], axis=1).tolist()
                 assert state.heads.tolist() == heads
@@ -378,14 +411,14 @@ def test_kernels_exact_above_int64_bound(mode):
     z = [1]
     verdicts = []
     for ell in range(1, I.d):
-        step = prepare_step(state, I.array[:, ell], mode)
+        step = prepare_step(state, I, ell, mode)
         nu = [int(v) for v in state.values]
         col = [int(k) for k in I.array[:, ell]]
-        rows = [j for j in range(len(I)) if step.heads[j]]
         if mode == "integration":
             j = next(j for j in range(len(I)) if col[j] % M)
             forced = (-nu[j] * pow(col[j], -1, M)) % M
         else:
+            rows = [j for j in range(len(I)) if step.heads[j]]
             i, j = next((i, j) for i in rows for j in rows if (col[i] - col[j]) % M)
             forced = ((nu[j] - nu[i]) * pow(col[i] - col[j], -1, M)) % M
         proj = FrequencySet(I.array[:, : ell + 1])

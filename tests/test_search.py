@@ -1,7 +1,7 @@
-"""Random sampling primitives and the CBC drivers."""
+"""The lazy candidate permutation and the CBC drivers."""
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb, factorial
 
 import pytest
@@ -14,8 +14,6 @@ from cbclat.search import (
     cbc_construct_basic,
     cbc_exhaustive,
     estimate_failure_bound,
-    sample_distinct,
-    shuffle,
     two_step_permutation,
 )
 
@@ -36,84 +34,120 @@ def test_config_validation():
         CbcConfig(M=5, T=3, mode="integration", seed=-1)
 
 
-def test_sample_distinct_basics():
+class CountingRandom(random.Random):
+    """random.Random that counts randrange calls; the stream is unchanged."""
+
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+def _head(M, T, rng):
+    """The first T entries of a permutation, read as cbc_construct reads them."""
+    return list(islice(two_step_permutation(M, rng), T))
+
+
+def test_permutation_head_basics():
     rng = random.Random(0)
-    assert sample_distinct(5, 5, rng) == {0, 1, 2, 3, 4}
-    with pytest.raises(ValueError):
-        sample_distinct(6, 5, rng)
-    ones = [min(sample_distinct(1, 2, rng)) for _ in range(10000)]
+    assert set(_head(5, 5, rng)) == {0, 1, 2, 3, 4}
+    ones = [_head(2, 1, rng)[0] for _ in range(10000)]
     frac = sum(ones) / len(ones)
     assert 0.45 < frac < 0.55
     for _ in range(100):
-        s = sample_distinct(3, 50, rng)
-        assert len(s) == 3
+        s = _head(50, 3, rng)
+        assert len(set(s)) == 3
         assert all(0 <= v < 50 for v in s)
 
 
-def test_sample_distinct_subset_frequencies():
+def test_permutation_head_subset_frequencies():
     rng = random.Random(1)
     counts = {}
     draws = 20000
     for _ in range(draws):
-        key = tuple(sorted(sample_distinct(2, 5, rng)))
+        key = tuple(sorted(_head(5, 2, rng)))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == comb(5, 2)
     for v in counts.values():
         assert abs(v / draws - 0.1) < 0.02
 
 
-def test_shuffle_basics():
+def test_full_permutation_of_three_uniform():
     rng = random.Random(2)
-    assert shuffle([], rng) == []
-    assert shuffle([7], rng) == [7]
-    src = [1, 2, 3]
     counts = {}
     for _ in range(12000):
-        key = tuple(shuffle(src, rng))
+        key = tuple(two_step_permutation(3, rng))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     for v in counts.values():
         assert abs(v / 12000 - 1 / 6) < 0.03
-    assert src == [1, 2, 3]  # input untouched
 
 
 def test_two_step_permutation_shapes():
     rng = random.Random(3)
-    assert list(two_step_permutation(1, 1, rng)) == [0]
+    assert list(two_step_permutation(1, rng)) == [0]
     for _ in range(50):
-        p = list(two_step_permutation(7, 3, rng))
+        p = list(two_step_permutation(7, rng))
         assert sorted(p) == list(range(7))
     with pytest.raises(ValueError):
-        two_step_permutation(3, 4, rng)
-    with pytest.raises(ValueError):
-        two_step_permutation(3, 0, rng)
+        two_step_permutation(0, rng)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7])
+def test_full_read_is_a_permutation(M):
+    for seed in range(200):
+        rng = CountingRandom(seed)
+        p = list(two_step_permutation(M, rng))
+        assert sorted(p) == list(range(M))
+        assert rng.draws == M
 
 
 def test_two_step_permutation_tail_is_lazy():
-    # Consuming only the head must leave the RNG exactly where the head
-    # draws left it; the complement permutation must cost nothing.
-    rng_a = random.Random(77)
-    gen = two_step_permutation(9, 4, rng_a)
-    head = [next(gen) for _ in range(4)]
-    rng_b = random.Random(77)
-    sample = sample_distinct(4, 9, rng_b)
-    assert sorted(head) == sorted(sample)
-    assert shuffle(sorted(sample), rng_b) == head
-    assert rng_a.random() == rng_b.random()
+    # Reading k entries makes exactly k randrange calls, the i-th of them
+    # randrange(i, M); entries never read cost nothing, the first one
+    # included.
+    for M in (1, 2, 9, 1000):
+        for k in sorted({0, 1, min(4, M), M}):
+            rng = CountingRandom(77)
+            gen = two_step_permutation(M, rng)
+            assert rng.draws == 0
+            head = list(islice(gen, k))
+            assert len(head) == len(set(head)) == k
+            assert rng.draws == k
+            ref = random.Random(77)
+            for i in range(k):
+                ref.randrange(i, M)
+            assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("M, T, draws", [(4, 1, 60000), (5, 2, 200000), (5, 4, 200000)])
 def test_two_step_permutation_uniformity(M, T, draws):
-    # Head and lazily built tail together must be uniform over all M!
-    # orderings, not just the head over the M!/(M-T)! prefixes.
+    # Reading the first T entries as the bounded driver does and then
+    # resuming the same generator, as the sweeping driver does, must give a
+    # uniform distribution over all M! orderings.
     rng = random.Random(10 * M + T)
     counts = {p: 0 for p in permutations(range(M))}
     for _ in range(draws):
-        counts[tuple(two_step_permutation(M, T, rng))] += 1
+        gen = two_step_permutation(M, rng)
+        counts[tuple(list(islice(gen, T)) + list(gen))] += 1
     target = 1 / factorial(M)
     tv = 0.5 * sum(abs(c / draws - target) for c in counts.values())
     assert all(c > 0 for c in counts.values())
     assert tv < 0.02
+
+
+def test_construct_draws_once_per_candidate():
+    # The bounded driver draws one random number per candidate it tests,
+    # whether a step accepts its first candidate or exhausts its budget.
+    I = gen_axis_cross(4, 6)
+    for M, T, seed in ((17, 3, 1), (53, 10, 2), (211, 100, 3), (31, 31, 4)):
+        rng = CountingRandom(seed)
+        res = cbc_construct(I, CbcConfig(M=M, T=T, mode="reconstruction"), rng)
+        assert rng.draws == sum(res.candidates_tested)
+        rng = CountingRandom(seed)
+        res = cbc_construct_basic(I, M, T, "reconstruction", rng)
+        assert rng.draws == sum(res.candidates_tested)
 
 
 def test_construct_d1_and_pigeonhole():
