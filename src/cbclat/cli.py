@@ -143,11 +143,9 @@ def cmd_gen(args) -> int:
     I = _generate(args.set, args.d, args.N, args.threshold, _parse_gamma(args.gamma), args.dmax)
     if args.out:
         freqset.write_set(I, args.out)
-        print(len(I))
     else:
-        for row in I.array:
-            sys.stdout.write(" ".join(str(int(v)) for v in row) + "\n")
-        print(len(I), file=sys.stderr)
+        sys.stdout.writelines(freqset.format_set(I))
+    print(len(I), file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -19,6 +19,8 @@ SIZE_CAP = 10**8
 # Components are capped so that modular products fit 64-bit arithmetic later.
 COMPONENT_LIMIT = 2**31 - 1
 
+_CHUNK_CELLS = 1 << 20  # components per chunk of format_set's text: bounds its memory
+
 
 def _effective_cap(size_cap) -> int:
     cap = SIZE_CAP if size_cap is None else int(size_cap)
@@ -92,7 +94,7 @@ class FrequencySet:
 
     @property
     def items(self) -> list[tuple[int, ...]]:
-        return [tuple(int(v) for v in row) for row in self._arr]
+        return list(map(tuple, self._arr.tolist()))
 
     def __len__(self) -> int:
         return self._arr.shape[0]
@@ -232,8 +234,9 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=
     """Weighted hyperbolic cross {k : prod_j max(1, |k_j|/gamma_j) <= threshold}.
 
     The set is enumerated over the first dmax coordinates and returned as a
-    dmax-dimensional set. Enumeration is depth-first with an exact rational
-    budget, so membership at the boundary is decided without floating point.
+    dmax-dimensional set, depth-first with an exact rational budget, so no
+    floating point decides the boundary. A row ends at the first coordinate
+    whose bound int(budget*gamma_j) is 0: the weights never increase.
     """
     thr = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     if thr <= 0:
@@ -250,18 +253,15 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=
 
     def descend(j: int, budget: Fraction) -> None:
         # budget = threshold / (product of factors fixed so far), always >= 1.
-        if j == dmax:
+        bound = int(budget * gammas[j]) if j < dmax else 0
+        if bound == 0:
             rows.append(tuple(buf))
             if len(rows) > cap:
                 raise ValueError("gen_weighted_hyperbolic exceeds the size cap")
             return
-        bound = int(budget * gammas[j])
         for k in range(-bound, bound + 1):
             buf[j] = k
-            if k == 0:
-                descend(j + 1, budget)
-            else:
-                descend(j + 1, budget * gammas[j] / abs(k))
+            descend(j + 1, budget * gammas[j] / abs(k) if k else budget)
         buf[j] = 0
 
     descend(0, thr)
@@ -290,12 +290,20 @@ def max_abs(I: FrequencySet) -> int:
     return int(max(arr.max(), -arr.min(), 0))
 
 
+def format_set(I: FrequencySet):
+    """Yield I's set-file text (one frequency per line, components joined by one
+    space), one %-format per chunk of at most _CHUNK_CELLS components."""
+    step = max(1, _CHUNK_CELLS // I.d)
+    line = " ".join(["%d"] * I.d) + "\n"
+    for start in range(0, len(I), step):
+        block = I.array[start:start + step]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
 def write_set(I: FrequencySet, path) -> None:
-    """Write one frequency per line, components whitespace-separated."""
+    """Write format_set(I) to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in I.array:
-            fh.write(" ".join(str(int(v)) for v in row))
-            fh.write("\n")
+        fh.writelines(format_set(I))
 
 
 def read_set(path) -> FrequencySet:
@@ -303,6 +311,8 @@ def read_set(path) -> FrequencySet:
 
     Lines starting with '#' and blank lines are ignored; the dimension is
     inferred from the first data line and every later line must match it.
+    numpy's C parser reads the kept lines first; where it fails (it also rejects
+    1_000, non-ASCII digits, values past int64) an int() rescan names the first bad line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = [(lineno, s) for lineno, s in enumerate((line.strip() for line in fh), start=1)
@@ -310,10 +320,8 @@ def read_set(path) -> FrequencySet:
     if not data:
         raise ValueError(f"{path}: no frequencies found")
     try:
-        rows = np.array([s.split() for _, s in data], dtype=np.int64)
+        rows = np.loadtxt([s for _, s in data], dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, OverflowError):
-        # A malformed or ragged file: rescan it line by line to name the
-        # first offending line.
         rows = []
         for lineno, stripped in data:
             try:

@@ -85,6 +85,14 @@ class Step:
     heads: np.ndarray | None = None
 
 
+def _accepted(values: np.ndarray, M: int, heads: np.ndarray | None = None) -> ResidueState:
+    """An accepted step's state, without re-checking residues just reduced mod M."""
+    state = object.__new__(ResidueState)
+    state.__dict__.update(values=values.astype(np.int64, copy=False), M=M, heads=heads)
+    state.values.setflags(write=False)
+    return state
+
+
 def _exact(a: np.ndarray, M: int) -> np.ndarray:
     """a in a dtype where v + y*k for residues v, y, k < M cannot overflow."""
     return a if M <= INT64_SAFE_M else a.astype(object)
@@ -136,6 +144,7 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     kcol = I.array[:, ell]
     heads = state.heads.copy()
     heads[1:] |= kcol[1:] != kcol[:-1]
+    heads.setflags(write=False)
     return Step(state, heads, _exact(state.values[heads], M), _exact(kcol[heads] % M, M),
                 kcol, heads)
 
@@ -151,7 +160,7 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState 
         return False, None
     values = step.state.values.copy()
     values[step.rows] = r
-    return True, ResidueState(values, M)
+    return True, _accepted(values, M)
 
 
 def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueState | None]:
@@ -167,4 +176,4 @@ def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueSta
     if not _distinct((step.v + y * step.k) % M):
         return False, None
     values = (_exact(step.state.values, M) + y * _exact(step.kcol % M, M)) % M
-    return True, ResidueState(values, M, step.heads)
+    return True, _accepted(values, M, step.heads)

@@ -60,6 +60,24 @@ def test_gen_stdout(capsys):
     assert captured.err.strip() == "5"
 
 
+@pytest.mark.parametrize("args", [
+    ["--set", "cube", "--d", "3", "--N", "2"],
+    ["--set", "axiscross", "--d", "10", "--N", "64"],
+    ["--set", "anova2", "--d", "60", "--N", "1"],
+    ["--set", "whc", "--threshold", "200", "--dmax", "14"],
+    ["--set", "whc", "--threshold", "6", "--gamma", "1,1/2,1/3", "--dmax", "3"],
+], ids=["cube", "axiscross", "anova2", "whc", "whc-explicit"])
+def test_gen_stdout_matches_out_file(tmp_path, capsys, args):
+    # One formatter serves both: stdout gets exactly the file's bytes.
+    out = tmp_path / "set.txt"
+    assert main(["gen", *args, "--out", str(out)]) == 0
+    count = capsys.readouterr().out
+    assert main(["gen", *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode("utf-8") == out.read_bytes()
+    assert captured.err == count
+
+
 def test_gen_usage_errors(capsys):
     assert main(["gen", "--set", "cube", "--d", "2"]) == 1
     assert "error" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cbclat.freqset as freqset_mod
 from cbclat.freqset import (
+    COMPONENT_LIMIT,
     FrequencySet,
     WeightSpec,
     difference_set,
@@ -239,6 +240,22 @@ def test_hyperbolic_explicit_weights():
     assert got.items == whc_oracle(lambda j: gammas[j], 2, 2)
 
 
+@pytest.mark.parametrize("weights, threshold, dmax", [
+    (WeightSpec.inverse_square(), 10, 12),
+    (WeightSpec.explicit([1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]), 6, 5),
+], ids=["inverse-square", "tied-explicit"])
+def test_hyperbolic_pruned_descent_matches_bruteforce(weights, threshold, dmax):
+    # dmax runs well past the last coordinate with a nonzero bound (j^-2), or
+    # the tied weights make the bound reach 0 at different depths per branch.
+    got = gen_weighted_hyperbolic(weights, threshold, dmax)
+    assert got.items == whc_oracle(weights.gamma, threshold, dmax)
+    # The cap counts the same rows as the unpruned enumeration did.
+    n = len(got)
+    assert gen_weighted_hyperbolic(weights, threshold, dmax, size_cap=n) == got
+    with pytest.raises(ValueError, match="size cap"):
+        gen_weighted_hyperbolic(weights, threshold, dmax, size_cap=n - 1)
+
+
 def test_hyperbolic_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gen_weighted_hyperbolic(WeightSpec.inverse_square(), 0, 3)
@@ -386,3 +403,142 @@ def test_round_trip_random_sets(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("io") / "set.txt"
     write_set(I, path)
     assert read_set(path) == I
+
+
+def _per_element_write(I, path):
+    """write_set as it was before chunked formatting: one str(int(v)) per component."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in I.array:
+            fh.write(" ".join(str(int(v)) for v in row))
+            fh.write("\n")
+
+
+_WRITE_CASES = {
+    "cube": lambda: gen_cube(3, 2),
+    "axiscross": lambda: gen_axis_cross(10, 64),
+    "anova2": lambda: gen_superposition2(60, 1),
+    "whc": lambda: gen_weighted_hyperbolic(WeightSpec.inverse_square(), 200, 14),
+    "whc-explicit": lambda: gen_weighted_hyperbolic(WeightSpec.explicit([1, Fraction(1, 2)]), 5, 2),
+    "difference": lambda: difference_set(gen_axis_cross(3, 5)),
+    "component-limit": lambda: FrequencySet([(COMPONENT_LIMIT, -COMPONENT_LIMIT, 0),
+                                             (-COMPONENT_LIMIT, 7, COMPONENT_LIMIT),
+                                             (0, 0, -1)]),
+    "single-column": lambda: FrequencySet([(-2,), (0,), (9,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITE_CASES))
+def test_write_set_bytes_match_per_element_writer(tmp_path, name):
+    I = _WRITE_CASES[name]()
+    write_set(I, tmp_path / "new.txt")
+    _per_element_write(I, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def test_write_set_bytes_match_across_chunks(tmp_path):
+    # Just over one default chunk of wide rows, components up to the limit.
+    rng = np.random.default_rng(11)
+    I = FrequencySet(rng.integers(-COMPONENT_LIMIT, COMPONENT_LIMIT + 1, size=(4100, 256)))
+    assert len(I) * I.d > freqset_mod._CHUNK_CELLS
+    assert len(list(freqset_mod.format_set(I))) == 2
+    write_set(I, tmp_path / "new.txt")
+    _per_element_write(I, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 6, 7, 1000])
+def test_write_set_small_chunks(tmp_path, monkeypatch, cells):
+    # Chunk caps below d, not a multiple of d, and above |I| d.
+    monkeypatch.setattr(freqset_mod, "_CHUNK_CELLS", cells)
+    I = gen_superposition2(3, 2)
+    write_set(I, tmp_path / "new.txt")
+    _per_element_write(I, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def _read_by_int(path):
+    """read_set's result by the line-by-line int() parse alone, or the
+    ValueError it raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
+    try:
+        rows = [[int(p) for p in s.split()] for s in data]
+        if not rows or any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("empty or ragged")
+        return FrequencySet(rows)
+    except ValueError:
+        return ValueError
+
+
+def _read_or_error(path):
+    try:
+        return read_set(path)
+    except ValueError:
+        return ValueError
+
+
+_token = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(0, 999).map(lambda v: "+" + str(v)),
+    st.integers(0, 999).map(lambda v: "-" + str(v)),
+    st.integers(0, 999).map(lambda v: "00" + str(v)),
+    st.sampled_from(["-0", "+0", "0", "000", "-007", "+03"]),
+    # int() accepts these and numpy does not, or neither does
+    st.sampled_from(["1_0", "\u0663", "x", "1.0", "0x1", "#"]),
+)
+_sep = st.sampled_from([" ", "  ", "\t", " \t ", "   "])
+_pad = st.sampled_from(["", " ", "\t", "  \t"])
+
+
+@st.composite
+def _set_file(draw):
+    d = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "ragged", "comment", "blank"]))
+        if kind in ("row", "ragged"):
+            n = d if kind == "row" else draw(st.integers(1, 5))
+            tokens = draw(st.lists(_token, min_size=n, max_size=n))
+            line = draw(_pad) + draw(_sep).join(tokens) + draw(_pad)
+        elif kind == "comment":
+            line = draw(_pad) + "# " + draw(st.sampled_from(["note", "1 2", "", "# x"]))
+        else:
+            line = draw(_pad)
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_set_file())
+def test_read_set_matches_int_parse(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("rd") / "set.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_or_error(path) == _read_by_int(path)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("1_000 2\n", [(1000, 2)]),
+    ("\u0663 -1\n", [(3, -1)]),
+    ("1 2\n-3 1_0\n", [(-3, 10), (1, 2)]),
+], ids=["digit-separator", "arabic-indic-digit", "second-line"])
+def test_read_set_accepts_what_int_accepts(tmp_path, text, rows):
+    # numpy's parser rejects these; the int() rescan reads them as before.
+    path = tmp_path / "set.txt"
+    path.write_text(text, encoding="utf-8")
+    assert read_set(path).items == rows
+
+
+@pytest.mark.parametrize("value", [2**63, 2**70, -2**63 - 1])
+def test_read_set_rejects_values_past_int64(tmp_path, value):
+    path = tmp_path / "set.txt"
+    path.write_text(f"1 2\n{value} 3\n")
+    with pytest.raises(ValueError):
+        read_set(path)
+
+
+def test_read_set_rejects_trailing_comment(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("0 0\n1 2 # c\n")
+    with pytest.raises(ValueError, match=r"set\.txt:2: malformed frequency line '1 2 # c'"):
+        read_set(path)

@@ -346,6 +346,36 @@ def test_carried_residues_match_recomputation():
             built += 1
 
 
+def test_accepted_states_equal_validated_states():
+    # Accepted states skip ResidueState's range check; they must still be
+    # what the validating constructor builds, frozen, in int64 and in range.
+    rng = random.Random(777)
+    walked = 0
+    for mode in ("integration", "reconstruction"):
+        for _ in range(40):
+            I, M = _random_instance(rng)
+            for _, state in _walk(I, M, mode):
+                # Flags first: the validating constructor freezes in place.
+                assert not state.values.flags.writeable
+                assert state.heads is None or not state.heads.flags.writeable
+                checked = ResidueState(state.values, state.M, state.heads)
+                assert state.values.dtype == np.int64
+                assert np.array_equal(state.values, checked.values) and state.M == M
+                if mode == "integration":
+                    assert state.heads is None
+                else:
+                    assert np.array_equal(state.heads, checked.heads)
+                walked += 1
+    assert walked > 50
+    # Past INT64_SAFE_M the kernels compute in Python ints; states stay int64.
+    M = nextprime(INT64_SAFE_M)
+    I = FrequencySet([(1, 1), (2, 3)])
+    for mode in ("integration", "reconstruction"):
+        good, state = _kernel(mode)(prepare_step(init_residues(I, M, mode)[1], I, 1, mode), M - 2)
+        assert good and state.values.dtype == np.int64
+        assert state.values.tolist() == [M - 1, M - 4]
+
+
 def test_accepted_prefixes_satisfy_direct_verifiers():
     rng = random.Random(321)
     for mode in ("integration", "reconstruction"):
