@@ -16,7 +16,8 @@ import numpy as np
 # by each generator. Every generator accepts an explicit override.
 SIZE_CAP = 10**8
 
-# Components are capped so that modular products fit 64-bit arithmetic later.
+# Components are capped so that v + y*k for residues v, y < M stays in int64
+# for every M < 2^32 (lattice.exact_operand); larger M use Python ints.
 COMPONENT_LIMIT = 2**31 - 1
 
 _CHUNK_CELLS = 1 << 20  # components per chunk of format_set's text: bounds its memory

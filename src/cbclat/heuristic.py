@@ -46,6 +46,12 @@ class SearchOutcome:
         return sum(e.seconds for e in self.trail)
 
 
+def verifier(mode: str):
+    """The direct verifier of mode's property, as verifier(mode)(lat, I)."""
+    return (lattice.verify_integration if mode == MODE_INTEGRATION
+            else lattice.verify_reconstruction)
+
+
 def initial_size(I: FrequencySet, mode: str) -> int:
     """Starting prime for the halving descent, guaranteed comfortable.
 
@@ -100,9 +106,6 @@ def heuristic_search(I: FrequencySet, mode: str = MODE_RECONSTRUCTION, K: int = 
     if best is None:
         return SearchOutcome("failed", None, None, tuple(trail), mode)
     M, z = best
-    lat = lattice.Rank1Lattice(M, z)
-    verifier = (lattice.verify_integration if mode == MODE_INTEGRATION
-                else lattice.verify_reconstruction)
-    if not verifier(lat, I):
+    if not verifier(mode)(lattice.Rank1Lattice(M, z), I):
         raise AssertionError("accepted lattice failed direct verification; this is a bug")
     return SearchOutcome("success", M, z, tuple(trail), mode)

@@ -25,8 +25,10 @@ projected set, so the verdict is the direct verifier's on it. Since accepted
 steps keep distinct prefixes on distinct residues, they are also one row per
 distinct pair (nu_j, k_{j,l}). An accepted state is recomputed over all rows.
 
-Residues stay int64 up to INT64_SAFE_M; above it the projected arrays hold
-Python ints, so the same expressions stay exact for any M.
+Components enter signed and unreduced. prepare_step passes them through
+lattice.exact_operand once per step, so they stay int64 while
+M (max|k_l| + 1) < 2^63 and are Python ints beyond that; the same
+(v + y k) mod M then stays exact for any M.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqset import FrequencySet
-from .lattice import INT64_SAFE_M
+from .lattice import exact_operand
 
 MODE_INTEGRATION = "integration"
 MODE_RECONSTRUCTION = "reconstruction"
@@ -74,8 +76,9 @@ class ResidueState:
 @dataclass(frozen=True)
 class Step:
     """One CBC step's y-independent part: the rows the verdict reads, their
-    residues v and components k mod M, and, for reconstruction only, the
-    whole column and the extended prefix mask an accepted state is built from."""
+    residues v and signed components k, and, for reconstruction only, the
+    whole signed column and the extended prefix mask an accepted state is
+    built from. k and kcol come from exact_operand, so v + y k is exact."""
 
     state: ResidueState
     rows: np.ndarray
@@ -91,11 +94,6 @@ def _accepted(values: np.ndarray, M: int, heads: np.ndarray | None = None) -> Re
     state.__dict__.update(values=values.astype(np.int64, copy=False), M=M, heads=heads)
     state.values.setflags(write=False)
     return state
-
-
-def _exact(a: np.ndarray, M: int) -> np.ndarray:
-    """a in a dtype where v + y*k for residues v, y, k < M cannot overflow."""
-    return a if M <= INT64_SAFE_M else a.astype(object)
 
 
 def _distinct(res: np.ndarray) -> bool:
@@ -136,17 +134,17 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     M = state.M
     if mode == MODE_INTEGRATION:
         rows, k = I.nonzeros(ell)
-        return Step(state, rows, _exact(state.values[rows], M), _exact(k % M, M))
+        return Step(state, rows, state.values[rows], exact_operand(k, M))
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
     if state.heads is None:
         raise ValueError("reconstruction needs a state with a prefix mask")
-    kcol = I.array[:, ell]
+    col = I.array[:, ell]
     heads = state.heads.copy()
-    heads[1:] |= kcol[1:] != kcol[:-1]
+    heads[1:] |= col[1:] != col[:-1]
     heads.setflags(write=False)
-    return Step(state, heads, _exact(state.values[heads], M), _exact(kcol[heads] % M, M),
-                kcol, heads)
+    kcol = exact_operand(col, M)
+    return Step(state, heads, state.values[heads], kcol[heads], kcol, heads)
 
 
 def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState | None]:
@@ -175,5 +173,5 @@ def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueSta
     y %= M
     if not _distinct((step.v + y * step.k) % M):
         return False, None
-    values = (_exact(step.state.values, M) + y * _exact(step.kcol % M, M)) % M
+    values = (step.state.values + y * step.kcol) % M
     return True, _accepted(values, M, step.heads)

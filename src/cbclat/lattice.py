@@ -1,8 +1,10 @@
 """Rank-1 lattices: nodes, cubature, direct property verifiers, polynomials.
 
 The direct verifiers here are the ground truth the randomized search is
-checked against, so all residue arithmetic is exact: int64 with a proven
-overflow margin, falling back to Python integers beyond it.
+checked against, so all residue arithmetic is exact. One primitive,
+exact_operand, serves every (v + y k) mod M in the package: residues
+0 <= v, y < M times signed, unreduced components k stay in int64 while
+M (max|k| + 1) < 2^63, and are Python integers beyond that.
 
 Sampling a polynomial on a lattice and reconstructing its coefficients are
 one length-M FFT each, O(M log M + |I| d); on a lattice without the
@@ -11,29 +13,38 @@ reconstruction property, reconstruction returns aliased sums.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .freqset import FrequencySet
 
-# Largest M with M*(M-1) < 2^63, so products of two residues < M stay in int64.
+# Largest M with M*M < 2^63: exact_operand's bound when max|k| = M - 1.
 INT64_SAFE_M = 3037000499
 
 
+def exact_operand(k: np.ndarray, M: int) -> np.ndarray:
+    """k in a dtype where v + y*k is exact for residues 0 <= v, y < M.
+
+    |v + y k| <= (M - 1)(max|k| + 1), so int64 holds it while
+    M (max|k| + 1) < 2^63; beyond that k becomes an array of Python ints and
+    the same expression runs on them.
+    """
+    bound = int(np.abs(k).max(initial=0))
+    return k if int(M) * (bound + 1) < 2**63 else k.astype(object)
+
+
 def _residues(arr: np.ndarray, M: int, z) -> np.ndarray:
-    """k . z mod M for every row k of arr, each term reduced before adding."""
+    """k . z mod M for every row k of arr, adding one signed column at a time."""
+    M = int(M)
+    arr = exact_operand(arr, M)
     acc = np.zeros(arr.shape[0], dtype=np.int64)
-    if M <= INT64_SAFE_M:
-        for t, zt in enumerate(z):
-            zt %= M
-            if zt:
-                acc = (acc + (arr[:, t] % M) * zt) % M
-        return acc
-    # Widened path: numpy products would overflow, Python ints never do.
-    zs = [int(zt) % M for zt in z]
-    out = [sum((int(k) % M) * zt for k, zt in zip(row, zs)) % M for row in arr]
-    return np.asarray(out, dtype=np.int64)
+    for t, zt in enumerate(z):
+        zt = int(zt) % M
+        if zt:
+            acc = (acc + arr[:, t] * zt) % M
+    return acc.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -44,14 +55,16 @@ class Rank1Lattice:
     z: tuple[int, ...]
 
     def __post_init__(self):
-        if self.M < 1:
+        M = operator.index(self.M)
+        if M < 1:
             raise ValueError("lattice size M must be >= 1")
         z = tuple(int(v) for v in self.z)
         if len(z) < 1:
             raise ValueError("generating vector must have d >= 1")
         for v in z:
-            if not 0 <= v < self.M:
-                raise ValueError(f"generating vector component {v} outside [0, {self.M})")
+            if not 0 <= v < M:
+                raise ValueError(f"generating vector component {v} outside [0, {M})")
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "z", z)
 
     @property
@@ -71,14 +84,8 @@ class Rank1Lattice:
 
 def nodes(lat: Rank1Lattice) -> np.ndarray:
     """All M lattice points as an (M, d) float array in [0, 1)^d; row 0 is 0."""
-    j = np.arange(lat.M, dtype=np.int64)
-    cols = []
-    for zt in lat.z:
-        if lat.M <= INT64_SAFE_M:
-            r = (j * zt) % lat.M
-        else:
-            r = np.asarray([(int(jj) * zt) % lat.M for jj in j], dtype=np.int64)
-        cols.append(r / lat.M)
+    j = exact_operand(np.arange(lat.M, dtype=np.int64), lat.M)
+    cols = [((j * zt) % lat.M).astype(np.int64, copy=False) / lat.M for zt in lat.z]
     return np.stack(cols, axis=1)
 
 

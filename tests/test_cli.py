@@ -190,6 +190,28 @@ def test_search_failure_exit2(tmp_path, capsys, monkeypatch):
     assert obj["status"] == "failed" and obj["M"] is None
 
 
+def test_reconstruct_demo_one_schema(tmp_path, capsys, monkeypatch):
+    # Success and failure share search's result object plus the demo fields;
+    # a failure leaves the error fields empty and exits 2.
+    setfile = write_axis_set(tmp_path, 2, 1)
+    capsys.readouterr()
+    assert main(["search", setfile, "--seed", "4"]) == 0
+    search_keys = list(json.loads(capsys.readouterr().out))
+    assert main(["reconstruct-demo", setfile, "--seed", "4"]) == 0
+    ok = json.loads(capsys.readouterr().out)
+    assert ok["trail"] and ok["coefficients"] == 5 and ok["max_abs_error"] <= 1e-8
+
+    def doomed(I, mode, K, T, rng):
+        return SearchOutcome("failed", None, None, (), mode)
+
+    monkeypatch.setattr(cli_mod, "heuristic_search", doomed)
+    assert main(["reconstruct-demo", setfile, "--seed", "4"]) == 2
+    failed = json.loads(capsys.readouterr().out)
+    assert list(ok) == list(failed) == search_keys + ["coefficients", "max_abs_error", "rel_error"]
+    assert failed["status"] == "failed" and failed["M"] is None
+    assert failed["max_abs_error"] is None and failed["rel_error"] is None
+
+
 def test_search_csv_format(tmp_path, capsys):
     setfile = write_axis_set(tmp_path, 2, 2)
     capsys.readouterr()

@@ -367,8 +367,9 @@ def test_accepted_states_equal_validated_states():
                     assert np.array_equal(state.heads, checked.heads)
                 walked += 1
     assert walked > 50
-    # Past INT64_SAFE_M the kernels compute in Python ints; states stay int64.
-    M = nextprime(INT64_SAFE_M)
+    # With M (max|k| + 1) >= 2^63 the kernels compute in Python ints; states
+    # stay int64.
+    M = nextprime(2**62)
     I = FrequencySet([(1, 1), (2, 3)])
     for mode in ("integration", "reconstruction"):
         good, state = _kernel(mode)(prepare_step(init_residues(I, M, mode)[1], I, 1, mode), M - 2)
@@ -424,17 +425,13 @@ def _big_instance(rng, d, n):
     return FrequencySet(rows)
 
 
-@pytest.mark.parametrize("mode", ["integration", "reconstruction"])
-def test_kernels_exact_above_int64_bound(mode):
-    # M just past INT64_SAFE_M, where y * k mod M no longer fits int64, and
-    # components within 8 of the component limit. At every step the tested
+def _walk_near_bound(M, mode, rng, dtype):
+    # Components within 8 of the component limit. At every step the tested
     # candidates are one forced to fail (a residue driven to 0, or two
     # prefixes driven onto one residue), M - 1, M - 2 and random ones; every
     # verdict must match the direct verifier on the projected set, and every
-    # carried state the recomputed residues.
-    M = nextprime(INT64_SAFE_M)
-    assert M > INT64_SAFE_M
-    rng = random.Random(2718 if mode == "integration" else 3141)
+    # carried state the recomputed residues. dtype is the one the step's
+    # components must be computed in.
     I = _big_instance(rng, 4, 12)
     ok, state = init_residues(I, M, mode)
     assert ok
@@ -442,6 +439,7 @@ def test_kernels_exact_above_int64_bound(mode):
     verdicts = []
     for ell in range(1, I.d):
         step = prepare_step(state, I, ell, mode)
+        assert step.k.dtype == dtype
         nu = [int(v) for v in state.values]
         col = [int(k) for k in I.array[:, ell]]
         if mode == "integration":
@@ -467,3 +465,21 @@ def test_kernels_exact_above_int64_bound(mode):
         assert state.values.tolist() == _residues(I.array, M, padded).tolist()
     assert _verifier(mode)(Rank1Lattice(M, tuple(z)), I)
     assert (1, M - 1, False) in verdicts
+
+
+@pytest.mark.parametrize("mode", ["integration", "reconstruction"])
+def test_kernels_exact_above_int64_bound(mode):
+    # M just past INT64_SAFE_M: y * k for residues y, k < M would not fit
+    # int64, but signed components up to COMPONENT_LIMIT keep v + y k in it.
+    M = nextprime(INT64_SAFE_M)
+    assert M > INT64_SAFE_M
+    _walk_near_bound(M, mode, random.Random(2718 if mode == "integration" else 3141), np.int64)
+
+
+@pytest.mark.parametrize("mode", ["integration", "reconstruction"])
+def test_kernels_exact_past_component_bound(mode):
+    # M = nextprime(2^32): M (COMPONENT_LIMIT - 7 + 1) >= 2^63, so the steps
+    # compute in Python ints.
+    M = nextprime(2**32)
+    assert M * (COMPONENT_LIMIT - 6) >= 2**63
+    _walk_near_bound(M, mode, random.Random(1618 if mode == "integration" else 1414), object)

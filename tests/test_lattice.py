@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbclat.freqset import FrequencySet, difference_set, gen_cube
+from cbclat.freqset import COMPONENT_LIMIT, FrequencySet, difference_set, gen_cube
 from cbclat.lattice import (
     INT64_SAFE_M,
     Rank1Lattice,
     TrigPolynomial,
+    _residues,
     cubature,
+    exact_operand,
     eval_on_lattice,
     eval_poly,
     nodes,
@@ -20,7 +22,7 @@ from cbclat.lattice import (
     verify_integration,
     verify_reconstruction,
 )
-from cbclat.primes import nextprime
+from cbclat.primes import is_prime, nextprime
 from cbclat.search import CbcConfig, cbc_construct
 
 
@@ -122,6 +124,80 @@ def test_verifier_residues_exact_above_int32():
     z2 = (M2 - 1, M2 - 7)
     r2 = ((2**31 - 1) * (M2 - 1) - (2**31 - 1) * (M2 - 7)) % M2
     assert verify_integration(Rank1Lattice(M2, z2), I) == (r2 != 0)
+
+
+def _prevprime(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+# (M, largest |k|, dtype exact_operand must pick) on both sides of its bound
+# M (max|k| + 1) < 2^63: |k| at COMPONENT_LIMIT around 2^32, and |k| <= 64
+# around floor((2^63 - 1) / 65).
+BOUND_CASES = [
+    (4294967291, COMPONENT_LIMIT, np.int64),
+    (4294967311, COMPONENT_LIMIT, object),
+    (_prevprime((2**63 - 1) // 65), 64, np.int64),
+    (nextprime((2**63 - 1) // 65), 64, object),
+]
+
+
+def _bound_instance(M, kmax, seed):
+    """Rows with components up to +-kmax, generating vectors near M - 1 and
+    random ones, and lattices built to send one row to residue 0 and to put
+    two rows on one residue, so both verdicts of both verifiers show up."""
+    rng = random.Random(seed)
+    d = 3
+    rows = [[rng.choice((-1, 1)) * (kmax - rng.randrange(3)) if rng.random() < 0.7
+             else rng.randrange(-3, 4) for _ in range(d)] for _ in range(20)]
+    rows += [[kmax] * d, [-kmax] * d, [kmax, -kmax, kmax]]
+    I = FrequencySet(rows)
+    A = [list(map(int, row)) for row in I.array]
+    zs = [(M - 1,) * d, (1, M - 1, M - 2)] + [
+        (1,) + tuple(rng.randrange(M) for _ in range(d - 1)) for _ in range(4)]
+    for _ in range(4):
+        i, j = rng.sample(range(len(A)), 2)
+        a, b = A[i], [x - y for x, y in zip(A[i], A[j])]
+        for k in (a, b):  # z_3 = -(k_1 + k_2 z_2) / k_3 mod M gives k . z = 0
+            if k[2] % M:
+                z2 = rng.randrange(M)
+                zs.append((1, z2, (-(k[0] + k[1] * z2) * pow(k[2], -1, M)) % M))
+    return I, A, zs
+
+
+@pytest.mark.parametrize("M, kmax, side", BOUND_CASES,
+                         ids=["int64-2^32", "object-2^32", "int64-k64", "object-k64"])
+def test_residues_and_verifiers_at_int64_bound(M, kmax, side):
+    I, A, zs = _bound_instance(M, kmax, M % 1000)
+    assert int(np.abs(I.array).max()) == kmax
+    assert exact_operand(I.array, M).dtype == side
+    verdicts = set()
+    for z in zs:
+        want = [sum(k * zt for k, zt in zip(row, z)) % M for row in A]
+        lat = Rank1Lattice(M, z)
+        assert _residues(I.array, M, z).tolist() == want
+        integration = all(r != 0 for r, row in zip(want, A) if any(row))
+        reconstruction = len(set(want)) == len(want)
+        assert verify_integration(lat, I) == integration
+        assert verify_reconstruction(lat, I) == reconstruction
+        verdicts |= {("int", integration), ("rec", reconstruction)}
+    assert len(verdicts) == 4
+
+
+def test_numpy_integer_lattice_size():
+    # An np.int64 M must not reach the residue arithmetic as a numpy scalar:
+    # Python-int products reduced by it overflow.
+    M = np.int64(nextprime(INT64_SAFE_M))
+    lat = Rank1Lattice(M, (M - 1, M - 7))
+    assert type(lat.M) is int and lat.M == M
+    I = FrequencySet([(-5, -7)])
+    want = (-5 * (lat.M - 1) - 7 * (lat.M - 7)) % lat.M
+    assert want == 54
+    assert _residues(I.array, lat.M, lat.z).tolist() == [want]
+    assert _residues(I.array, M, lat.z).tolist() == [want]
+    with pytest.raises(TypeError):
+        Rank1Lattice(7.0, (1,))
 
 
 def test_eval_poly_examples():
