@@ -111,10 +111,9 @@ def _emit(obj: dict, out: str | None, fmt: str) -> None:
     else:
         flat = {k: v for k, v in obj.items() if k != "trail"}
         flat["z"] = "" if flat.get("z") is None else " ".join(str(v) for v in flat["z"])
-        buf = []
-        buf.append(",".join(flat.keys()))
-        buf.append(",".join("" if v is None else str(v) for v in flat.values()))
-        text = "\n".join(buf) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([flat.keys(), flat.values()])
+        text = buf.getvalue()
     _write(text, out)
 
 

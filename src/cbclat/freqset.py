@@ -17,7 +17,8 @@ import numpy as np
 SIZE_CAP = 10**8
 
 # Components are capped so that v + y*k for residues v, y < M stays in int64
-# for every M < 2^32 (lattice.exact_operand); larger M use Python ints.
+# for every M < 2^32 (lattice.exact_operand); larger M use Python ints. A dot
+# product k . z is int64 while M (max ||k||_1 + 1) < 2^63 (cached row_norms).
 COMPONENT_LIMIT = 2**31 - 1
 
 _CHUNK_CELLS = 1 << 20  # components per chunk of format_set's text: bounds its memory
@@ -47,7 +48,7 @@ class FrequencySet:
     Wraps an immutable (n, d) int64 array whose rows are the frequencies.
     """
 
-    __slots__ = ("_arr", "_nonzeros")
+    __slots__ = ("_arr", "_nonzeros", "_norms")
 
     def __init__(self, rows, d: int | None = None):
         try:
@@ -68,6 +69,7 @@ class FrequencySet:
         arr.setflags(write=False)
         self._arr = arr
         self._nonzeros = None
+        self._norms = None
 
     @property
     def d(self) -> int:
@@ -92,6 +94,14 @@ class FrequencySet:
             cuts = np.searchsorted(cols, np.arange(1, self.d))
             self._nonzeros = tuple(zip(np.split(rows, cuts), np.split(values, cuts)))
         return self._nonzeros[t]
+
+    @property
+    def row_norms(self) -> np.ndarray:
+        """Read-only L1 norm of every row, built on first use and kept."""
+        if self._norms is None:
+            self._norms = np.abs(self._arr).sum(axis=1)
+            self._norms.setflags(write=False)
+        return self._norms
 
     @property
     def items(self) -> list[tuple[int, ...]]:

@@ -4,7 +4,9 @@ The direct verifiers here are the ground truth the randomized search is
 checked against, so all residue arithmetic is exact. One primitive,
 exact_operand, serves every (v + y k) mod M in the package: residues
 0 <= v, y < M times signed, unreduced components k stay in int64 while
-M (max|k| + 1) < 2^63, and are Python integers beyond that.
+M (max|k| + 1) < 2^63, and are Python integers beyond that. The residues
+k . z mod M over a whole set are one matrix product under the same rule with
+the row norm ||k||_1 in place of max|k|; FrequencySet caches the row norms.
 
 Sampling a polynomial on a lattice and reconstructing its coefficients are
 one length-M FFT each, O(M log M + |I| d); on a lattice without the
@@ -35,16 +37,14 @@ def exact_operand(k: np.ndarray, M: int) -> np.ndarray:
     return k if int(M) * (bound + 1) < 2**63 else k.astype(object)
 
 
-def _residues(arr: np.ndarray, M: int, z) -> np.ndarray:
-    """k . z mod M for every row k of arr, adding one signed column at a time."""
+def _residues(I: FrequencySet, M: int, z) -> np.ndarray:
+    """k . z mod M for every row k of I as one matrix product. With z reduced
+    into [0, M), |partial sums| <= (M - 1) ||k||_1: int64 holds them while
+    M (max ||k||_1 + 1) < 2^63, Python ints beyond."""
     M = int(M)
-    arr = exact_operand(arr, M)
-    acc = np.zeros(arr.shape[0], dtype=np.int64)
-    for t, zt in enumerate(z):
-        zt = int(zt) % M
-        if zt:
-            acc = (acc + arr[:, t] * zt) % M
-    return acc.astype(np.int64, copy=False)
+    dtype = np.int64 if M * (int(I.row_norms.max()) + 1) < 2**63 else object
+    zr = np.array([int(zt) % M for zt in z], dtype=dtype)
+    return ((I.array.astype(dtype, copy=False) @ zr) % M).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,14 @@ def _check_dims(lat: Rank1Lattice, I: FrequencySet) -> None:
 def verify_integration(lat: Rank1Lattice, I: FrequencySet) -> bool:
     """True iff k . z is not 0 mod M for every nonzero k in I."""
     _check_dims(lat, I)
-    arr = I.array
-    res = _residues(arr, lat.M, lat.z)
-    nonzero = np.any(arr != 0, axis=1)
-    return not bool(np.any((res == 0) & nonzero))
+    res = _residues(I, lat.M, lat.z)
+    return not bool(np.any((res == 0) & (I.row_norms != 0)))
 
 
 def verify_reconstruction(lat: Rank1Lattice, I: FrequencySet) -> bool:
     """True iff the residues k . z mod M are pairwise distinct over I."""
     _check_dims(lat, I)
-    res = np.sort(_residues(I.array, lat.M, lat.z))
+    res = np.sort(_residues(I, lat.M, lat.z))
     return not bool(np.any(res[1:] == res[:-1]))
 
 
@@ -171,7 +169,7 @@ def eval_on_lattice(p: TrigPolynomial, lat: Rank1Lattice) -> np.ndarray:
     """
     _check_dims(lat, p.support)
     acc = np.zeros(lat.M, dtype=np.complex128)
-    np.add.at(acc, _residues(p.support.array, lat.M, lat.z), p.coeffs)
+    np.add.at(acc, _residues(p.support, lat.M, lat.z), p.coeffs)
     return np.fft.ifft(acc) * lat.M
 
 
@@ -189,4 +187,4 @@ def reconstruct_coeffs(lat: Rank1Lattice, I: FrequencySet, samples) -> np.ndarra
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.shape != (lat.M,):
         raise ValueError(f"expected {lat.M} samples, got {samples.shape}")
-    return np.fft.fft(samples)[_residues(I.array, lat.M, lat.z)] / lat.M
+    return np.fft.fft(samples)[_residues(I, lat.M, lat.z)] / lat.M

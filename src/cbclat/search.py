@@ -14,6 +14,7 @@ this implementation, not across libraries with different generators.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ class CbcConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "M", operator.index(self.M))
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if not 1 <= self.T <= self.M:

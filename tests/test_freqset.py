@@ -112,6 +112,14 @@ def test_column_nonzeros():
     assert zero.nonzeros(0)[0].shape == zero.nonzeros(1)[1].shape == (0,)
 
 
+def test_row_norms():
+    I = FrequencySet([(0, 0, 3), (1, 0, -2), (0, 0, 0), (-1, 5, 0)])
+    assert I.row_norms.tolist() == [6, 0, 3, 3]  # rows in natural order
+    assert I.row_norms is I.row_norms
+    assert not I.row_norms.flags.writeable
+    assert I.row_norms.dtype == np.int64
+
+
 def test_construction_copies_ndarray_input():
     for rows in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):  # sorted, unsorted
         buf = np.array(rows, dtype=np.int64)

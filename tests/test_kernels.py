@@ -199,7 +199,7 @@ def test_integration_kernel_single_nonzero_row():
         assert good == verify_integration(Rank1Lattice(5, (1, y % 5)), I)
         assert good == (y % 5 != 1)
         if good:
-            assert s.values.tolist() == _residues(I.array, 5, [1, y % 5]).tolist()
+            assert s.values.tolist() == _residues(I, 5, [1, y % 5]).tolist()
 
 
 def test_reconstruction_kernel_hand_trace():
@@ -246,7 +246,7 @@ def test_reconstruction_kernel_row_permutation_invariant():
     while cases < 30:
         I, M = _random_instance(rng)
         z = [1] + [rng.randrange(M) for _ in range(I.d - 2)]
-        values = _residues(I.array, M, z + [0])
+        values = _residues(I, M, z + [0])
         if not verify_reconstruction(Rank1Lattice(M, tuple(z)), FrequencySet(I.array[:, :-1])):
             continue
         heads = np.ones(len(I), dtype=bool)
@@ -336,7 +336,7 @@ def test_carried_residues_match_recomputation():
                 continue
             for z, state in _walk(I, M, mode):
                 padded = z + [0] * (I.d - len(z))
-                assert state.values.tolist() == _residues(I.array, M, padded).tolist()
+                assert state.values.tolist() == _residues(I, M, padded).tolist()
                 if mode == "integration":
                     assert state.heads is None
                     continue
@@ -462,7 +462,7 @@ def _walk_near_bound(M, mode, rng, dtype):
         z.append(accepted[0])
         state = accepted[1]
         padded = z + [0] * (I.d - len(z))
-        assert state.values.tolist() == _residues(I.array, M, padded).tolist()
+        assert state.values.tolist() == _residues(I, M, padded).tolist()
     assert _verifier(mode)(Rank1Lattice(M, tuple(z)), I)
     assert (1, M - 1, False) in verdicts
 

@@ -176,13 +176,50 @@ def test_residues_and_verifiers_at_int64_bound(M, kmax, side):
     for z in zs:
         want = [sum(k * zt for k, zt in zip(row, z)) % M for row in A]
         lat = Rank1Lattice(M, z)
-        assert _residues(I.array, M, z).tolist() == want
+        assert _residues(I, M, z).tolist() == want
         integration = all(r != 0 for r, row in zip(want, A) if any(row))
         reconstruction = len(set(want)) == len(want)
         assert verify_integration(lat, I) == integration
         assert verify_reconstruction(lat, I) == reconstruction
         verdicts |= {("int", integration), ("rec", reconstruction)}
     assert len(verdicts) == 4
+
+
+# (M, largest |k|, dtype of the dot product) for _bound_instance's sets, whose
+# largest row norm is 3 |k|: both sides of M (max ||k||_1 + 1) < 2^63 for
+# |k| up to COMPONENT_LIMIT and up to 3, and two lattice sizes where max|k|
+# still fits exact_operand's int64 bound but the row norm would overflow it.
+DOT_CASES = [
+    (_prevprime((2**63 - 1) // (3 * COMPONENT_LIMIT + 1)), COMPONENT_LIMIT, "int64"),
+    (nextprime((2**63 - 1) // (3 * COMPONENT_LIMIT + 1)), COMPONENT_LIMIT, "object"),
+    (4294967291, COMPONENT_LIMIT, "object"),
+    (_prevprime((2**63 - 1) // 10), 3, "int64"),
+    (nextprime((2**63 - 1) // 10), 3, "object"),
+    (_prevprime((2**63 - 1) // 4), 3, "object"),
+]
+
+
+@pytest.mark.parametrize("M, kmax, side", DOT_CASES,
+                         ids=["int64-limit", "object-limit", "object-limit-2^32",
+                              "int64-k3", "object-k3", "object-k3-2^61"])
+def test_residues_and_verifiers_at_row_norm_bound(M, kmax, side):
+    I, A, zs = _bound_instance(M, kmax, M % 1000)
+    assert int(I.row_norms.max()) == 3 * kmax
+    assert exact_operand(I.array, M).dtype == np.int64
+    assert (M * (3 * kmax + 1) < 2**63) == (side == "int64")
+    verdicts = set()
+    for z in zs:
+        want = [sum(k * zt for k, zt in zip(row, z)) % M for row in A]
+        lat = Rank1Lattice(M, z)
+        assert _residues(I, M, z).tolist() == want
+        integration = all(r != 0 for r, row in zip(want, A) if any(row))
+        reconstruction = len(set(want)) == len(want)
+        assert verify_integration(lat, I) == integration
+        assert verify_reconstruction(lat, I) == reconstruction
+        verdicts |= {("int", integration), ("rec", reconstruction)}
+    assert len(verdicts) == 4
+    # Components of z are reduced mod M before the product.
+    assert _residues(I, M, [zt + M for zt in zs[0]]).tolist() == _residues(I, M, zs[0]).tolist()
 
 
 def test_numpy_integer_lattice_size():
@@ -194,8 +231,8 @@ def test_numpy_integer_lattice_size():
     I = FrequencySet([(-5, -7)])
     want = (-5 * (lat.M - 1) - 7 * (lat.M - 7)) % lat.M
     assert want == 54
-    assert _residues(I.array, lat.M, lat.z).tolist() == [want]
-    assert _residues(I.array, M, lat.z).tolist() == [want]
+    assert _residues(I, lat.M, lat.z).tolist() == [want]
+    assert _residues(I, M, lat.z).tolist() == [want]
     with pytest.raises(TypeError):
         Rank1Lattice(7.0, (1,))
 

@@ -1,13 +1,16 @@
 """The lazy candidate permutation and the CBC drivers."""
 
+import json
 import random
 from itertools import islice, permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from cbclat.freqset import FrequencySet, gen_axis_cross, gen_cube
 from cbclat.lattice import Rank1Lattice, verify_integration, verify_reconstruction
+from cbclat.primes import nextprime
 from cbclat.search import (
     CbcConfig,
     cbc_construct,
@@ -18,6 +21,18 @@ from cbclat.search import (
 )
 
 SQUARE = FrequencySet([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def test_numpy_integer_config_size():
+    # An np.int64 M is stored as a Python int, so z[0] = 1 % M is one too.
+    M = nextprime(2**32)
+    result = cbc_construct(gen_cube(3, 1), CbcConfig(M=np.int64(M), T=8, mode="reconstruction",
+                                                      seed=5))
+    assert result.success and type(result.M) is int and result.M == M
+    assert all(type(v) is int for v in result.z)
+    assert json.loads(json.dumps(list(result.z))) == list(result.z)
+    with pytest.raises(TypeError):
+        CbcConfig(M=7.0, T=1)
 
 
 def test_config_validation():
