@@ -111,10 +111,15 @@ def _emit(obj: dict, out: str | None, fmt: str) -> None:
     else:
         flat = {k: v for k, v in obj.items() if k != "trail"}
         flat["z"] = "" if flat.get("z") is None else " ".join(str(v) for v in flat["z"])
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([flat.keys(), flat.values()])
-        text = buf.getvalue()
+        text = _csv_text([flat.keys(), flat.values()])
     _write(text, out)
+
+
+def _csv_text(rows) -> str:
+    """rows as CSV text with "\n" line ends, the same for every subcommand."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _write(text: str, out: str | None) -> None:
@@ -251,9 +256,7 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         text = json.dumps([dict(zip(BENCH_COLUMNS, row)) for row in rows], indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        csv.writer(buf).writerows([BENCH_COLUMNS, *rows])
-        text = buf.getvalue()
+        text = _csv_text([BENCH_COLUMNS, *rows])
     _write(text, args.out)
     return 0
 

@@ -1,34 +1,27 @@
 """Incremental per-step exactness checks for the CBC search.
 
-Both kernels test a candidate component y for step l against the residue
-vector nu accumulated over steps 1..l-1:
+A state is M and the residues nu_j = k_j . (z_1..z_l, 0..) mod M of I's rows,
+in set order. Both kernels test a candidate y for step l against it:
 
   integration:    accept iff (nu_j + y k_{j,l}) mod M != 0 wherever k_{j,l} != 0
   reconstruction: accept iff the distinct length-l prefixes of I keep
                   pairwise distinct residues nu_j + y k_{j,l} mod M
 
-prepare_step does the y-independent work once per step: it selects the rows
-the verdict reads and projects their residues and components. A candidate
-then costs one (v + y k) mod M over those rows and a zero test or a sort; a
-new state is built only on acceptance.
+Distinct prefixes keep distinct residues, so a residue names its prefix
+class: a successful init and every accepted step leave them so. Rows sharing
+a prefix are contiguous in natural order, so row j starts a new length-l
+prefix exactly where nu_j != nu_{j-1} or k_{j,l} != k_{j-1,l}; reconstruction
+reads one row per distinct prefix, the projected set the direct verifier
+reads. Integration reads only the rows with k_{j,l} != 0 (FrequencySet.nonzeros).
 
-Integration reads only the rows with k_{j,l} != 0, which FrequencySet keeps
-per column, so a step costs O(nonzeros of column l): the other rows neither
-move nor reject. An accepted state is nu with the new residues written back
-at those rows. Integration states carry no prefix mask.
+prepare_step selects those rows once per step; a candidate then costs one
+(v + y k) mod M over them and a zero test or a sort. Only an accepted y builds
+a state, in both modes as nu with the rows k_{j,l} != 0 moved. init_residues
+is step 0 from all-zero residues (one prefix, the empty one), checked at
+z_1 = 1 and accepted whatever the verdict, so each mode's rule lives once.
 
-Reconstruction keeps a prefix mask. FrequencySet rows are in natural order,
-so rows sharing a length-l prefix are contiguous, and heads[j] marks the row
-whose prefix differs from row j-1's. Step l extends the mask with
-heads[1:] |= k_{1:,l} != k_{:-1,l}; the selected rows are then exactly the
-projected set, so the verdict is the direct verifier's on it. Since accepted
-steps keep distinct prefixes on distinct residues, they are also one row per
-distinct pair (nu_j, k_{j,l}). An accepted state is recomputed over all rows.
-
-Components enter signed and unreduced. prepare_step passes them through
-lattice.exact_operand once per step, so they stay int64 while
-M (max|k_l| + 1) < 2^63 and are Python ints beyond that; the same
-(v + y k) mod M then stays exact for any M.
+Components pass through lattice.exact_operand once per step: int64 while
+M (max|k_l| + 1) < 2^63, Python ints beyond, so (v + y k) mod M stays exact.
 """
 
 from __future__ import annotations
@@ -47,13 +40,10 @@ MODES = (MODE_INTEGRATION, MODE_RECONSTRUCTION)
 
 @dataclass(frozen=True)
 class ResidueState:
-    """nu_j = k_j . (z_1..z_l, 0..) mod M for every frequency k_j, in set order,
-    and, for reconstruction, heads[j]: whether row j's length-l prefix
-    differs from row j-1's (None for integration)."""
+    """nu_j = k_j . (z_1..z_l, 0..) mod M for every frequency k_j, in set order."""
 
     values: np.ndarray
     M: int
-    heads: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.int64)
@@ -63,88 +53,90 @@ class ResidueState:
             raise ValueError("residue vector must be one-dimensional and non-empty")
         if (v < 0).any() or (v >= self.M).any():
             raise ValueError("residues must lie in [0, M)")
-        if self.heads is not None:
-            h = np.asarray(self.heads, dtype=bool)
-            if h.shape != v.shape or not h[0]:
-                raise ValueError("prefix mask must match the residues and start with True")
-            h.setflags(write=False)
-            object.__setattr__(self, "heads", h)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
 class Step:
-    """One CBC step's y-independent part: the rows the verdict reads, their
-    residues v and signed components k, and, for reconstruction only, the
-    whole signed column and the extended prefix mask an accepted state is
-    built from. k and kcol come from exact_operand, so v + y k is exact."""
+    """A step's y-independent part: the rows the verdict reads, their residues v
+    and components k, and the rows with k_l != 0 (the rows y moves) with their
+    components dk; k and dk are signed and exact_operand's, so v + y k is exact."""
 
     state: ResidueState
     rows: np.ndarray
     v: np.ndarray
     k: np.ndarray
-    kcol: np.ndarray | None = None
-    heads: np.ndarray | None = None
+    moved: np.ndarray
+    dk: np.ndarray
 
 
-def _accepted(values: np.ndarray, M: int, heads: np.ndarray | None = None) -> ResidueState:
-    """An accepted step's state, without re-checking residues just reduced mod M."""
+def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> Step:
+    """Select and project the rows that step ell's verdict reads, once per step.
+
+    state holds the residues of I's rows over components 0..ell-1, and the
+    distinct length-ell prefixes of I must have distinct residues in it, as
+    after a successful init_residues and after every accepted step: a
+    reconstruction step tells the prefixes apart by their residues alone.
+    """
+    if len(I) != state.values.shape[0]:
+        raise ValueError("frequency set size disagrees with residue vector")
+    if not 0 <= ell < I.d:
+        raise ValueError(f"component index {ell} outside 0..{I.d - 1}")
+    moved, dk = I.nonzeros(ell)
+    dk = exact_operand(dk, state.M)
+    if mode == MODE_INTEGRATION:
+        return Step(state, moved, state.values[moved], dk, moved, dk)
+    if mode != MODE_RECONSTRUCTION:
+        raise ValueError(f"unknown mode: {mode!r}")
+    nu, col = state.values, I.array[:, ell]
+    rows = np.ones(nu.shape[0], dtype=bool)
+    rows[1:] = (nu[1:] != nu[:-1]) | (col[1:] != col[:-1])
+    return Step(state, rows, nu[rows], exact_operand(col[rows], state.M), moved, dk)
+
+
+def _shifted(step: Step, y: int) -> np.ndarray:
+    """The residues of the rows the verdict reads after y, in a new array."""
+    M = step.state.M
+    return (step.v + (y % M) * step.k) % M
+
+
+def _integration_ok(r: np.ndarray) -> bool:
+    return bool(r.all())
+
+
+def _reconstruction_ok(r: np.ndarray) -> bool:
+    r.sort()
+    return not (r[1:] == r[:-1]).any()
+
+
+def _accepted(step: Step, y: int, r: np.ndarray | None = None) -> ResidueState:
+    """The state after y: nu with the rows k_l != 0 moved, to r when the caller
+    has their residues already. Residues just reduced mod M are not re-checked."""
+    M = step.state.M
+    values = step.state.values.copy()
+    values[step.moved] = (values[step.moved] + (y % M) * step.dk) % M if r is None else r
+    values.setflags(write=False)
     state = object.__new__(ResidueState)
-    state.__dict__.update(values=values.astype(np.int64, copy=False), M=M, heads=heads)
-    state.values.setflags(write=False)
+    state.__dict__.update(values=values, M=M)
     return state
 
 
-def _distinct(res: np.ndarray) -> bool:
-    """Whether the entries of res are pairwise distinct; sorts res in place."""
-    res.sort()
-    return not (res[1:] == res[:-1]).any()
+# init_residues reads the verdicts here, not through the public check names:
+# the benchmark's tracer wraps those and counts one call per candidate tested.
+_VERDICTS = {MODE_INTEGRATION: _integration_ok, MODE_RECONSTRUCTION: _reconstruction_ok}
 
 
 def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueState]:
     """Step 1 with the fixed choice z_1 = 1.
 
     Returns whether the first components alone already satisfy the mode's
-    property: no k with k_1 != 0 may hit residue 0 (integration), distinct
-    first components must keep distinct residues (reconstruction).
+    property, and the residues k_1 mod M whatever the verdict.
     """
     if M < 2:
         raise ValueError("need M >= 2")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
-    first = I.array[:, 0]
-    nu = first % M
-    if mode == MODE_INTEGRATION:
-        return not bool(np.any((first != 0) & (nu == 0))), ResidueState(nu, M)
-    heads = np.ones(first.shape[0], dtype=bool)
-    heads[1:] = first[1:] != first[:-1]
-    return _distinct(nu[heads]), ResidueState(nu, M, heads)
-
-
-def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> Step:
-    """Select and project the rows that step ell's verdict reads, once per step.
-
-    state holds the residues of I's rows over components 0..ell-1.
-    """
-    if len(I) != state.values.shape[0]:
-        raise ValueError("frequency set size disagrees with residue vector")
-    if not 0 <= ell < I.d:
-        raise ValueError(f"component index {ell} outside 0..{I.d - 1}")
-    M = state.M
-    if mode == MODE_INTEGRATION:
-        rows, k = I.nonzeros(ell)
-        return Step(state, rows, state.values[rows], exact_operand(k, M))
-    if mode != MODE_RECONSTRUCTION:
-        raise ValueError(f"unknown mode: {mode!r}")
-    if state.heads is None:
-        raise ValueError("reconstruction needs a state with a prefix mask")
-    col = I.array[:, ell]
-    heads = state.heads.copy()
-    heads[1:] |= col[1:] != col[:-1]
-    heads.setflags(write=False)
-    kcol = exact_operand(col, M)
-    return Step(state, heads, state.values[heads], kcol[heads], kcol, heads)
+    step = prepare_step(ResidueState(np.zeros(len(I), dtype=np.int64), M), I, 0, mode)
+    return _VERDICTS[mode](_shifted(step, 1)), _accepted(step, 1)
 
 
 def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState | None]:
@@ -152,13 +144,8 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState 
 
     Returns the verdict and, only if it is True, the state after the step.
     """
-    M = step.state.M
-    r = (step.v + (y % M) * step.k) % M
-    if not r.all():  # some row with k_l != 0 lands on residue 0
-        return False, None
-    values = step.state.values.copy()
-    values[step.rows] = r
-    return True, _accepted(values, M)
+    r = _shifted(step, y)  # the verdict rows are the rows with k_l != 0
+    return (True, _accepted(step, y, r)) if _integration_ok(r) else (False, None)
 
 
 def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueState | None]:
@@ -166,12 +153,8 @@ def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueSta
 
     Rows agreeing on the whole prefix count once; rows whose components are
     congruent mod M but distinct as integers stay separate, so their meeting
-    residues reject y. Returns the verdict and, only if it is True, the state
-    after the step.
+    residues reject y. Returns the verdict and, only if True, the next state.
     """
-    M = step.state.M
-    y %= M
-    if not _distinct((step.v + y * step.k) % M):
+    if not _reconstruction_ok(_shifted(step, y)):
         return False, None
-    values = (step.state.values + y * step.kcol) % M
-    return True, _accepted(values, M, step.heads)
+    return True, _accepted(step, y)

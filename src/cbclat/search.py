@@ -124,17 +124,15 @@ def cbc_construct(I: FrequencySet, cfg: CbcConfig, rng: random.Random | None = N
     return _drive(I, cfg.M, cfg.mode, steps, cfg.T, cfg.seed)
 
 
-def cbc_construct_basic(I: FrequencySet, M: int, T: int, mode: str,
+def cbc_construct_basic(I: FrequencySet, M: int, mode: str,
                         rng: random.Random | None = None) -> CbcResult:
-    """CBC with fallback: after the T random candidates, sweep the rest.
+    """CBC with fallback: each step reads its random permutation to the end.
 
-    Behaves identically to cbc_construct while candidates remain in the head
-    (same RNG stream, same accepted components); a step fails only when all
-    M possible components are inadmissible for the current prefix. The
-    candidate order does not depend on T, which only names that head.
+    Same RNG stream and candidate order as cbc_construct, so it accepts the
+    same components wherever cbc_construct's first T candidates hold an
+    admissible one, for any T; a step fails only when all M possible
+    components are inadmissible for the current prefix.
     """
-    if not 1 <= T <= M:
-        raise ValueError("candidate budget must satisfy 1 <= T <= M")
     if rng is None:
         rng = random.Random()
     steps = lambda: two_step_permutation(M, rng)

@@ -275,6 +275,7 @@ def test_bench_csv_shape(tmp_path):
     rc = main(["bench", "--set", "axiscross", "--d", "3,2", "--N", "2",
                "--reps", "2", "--seed", "10", "--out", str(out)])
     assert rc == 0
+    assert b"\r" not in out.read_bytes()  # "\n" line ends, as search --format csv
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",") == list(BENCH_COLUMNS)
     rows = [line.split(",") for line in lines[1:]]

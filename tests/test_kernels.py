@@ -91,8 +91,15 @@ def _ref_construct(I, cfg):
     return _ref_drive(I, cfg.M, cfg.mode, steps, cfg.seed)
 
 
-def _ref_construct_basic(I, M, T, mode, rng):
+def _ref_construct_basic(I, M, mode, rng):
     return _ref_drive(I, M, mode, lambda: two_step_permutation(M, rng), None)
+
+
+def _prefix_mask(I, length):
+    """Whether each row's first `length` components differ from the previous
+    row's: the rows a reconstruction step must read, from I's own prefixes."""
+    prefix = I.array[:, :length]
+    return [True] + np.any(prefix[1:] != prefix[:-1], axis=1).tolist()
 
 
 def _kernel(mode):
@@ -104,20 +111,13 @@ def _verifier(mode):
 
 
 def test_residue_state_validation():
-    ResidueState(np.array([0, 4]), 5, np.array([True, False]))
-    assert ResidueState(np.array([0, 4]), 5).heads is None  # an integration state
+    assert ResidueState(np.array([0, 4]), 5).values.tolist() == [0, 4]
     with pytest.raises(ValueError):
         ResidueState(np.array([5]), 5)
     with pytest.raises(ValueError):
-        ResidueState(np.array([5]), 5, np.array([True]))
+        ResidueState(np.array([-1]), 5)
     with pytest.raises(ValueError):
-        ResidueState(np.array([-1]), 5, np.array([True]))
-    with pytest.raises(ValueError):
-        ResidueState(np.array([[0]]), 5, np.array([[True]]))
-    with pytest.raises(ValueError):
-        ResidueState(np.array([0, 4]), 5, np.array([True]))
-    with pytest.raises(ValueError):
-        ResidueState(np.array([0, 4]), 5, np.array([False, True]))
+        ResidueState(np.array([[0]]), 5)
 
 
 def test_init_residues_integration():
@@ -125,7 +125,6 @@ def test_init_residues_integration():
                               "integration")
     assert ok
     assert state.values.tolist() == [(k % 7) for k in (-3, -2, -1, 0, 1, 2, 3)]
-    assert state.heads is None  # integration carries no prefix mask
     ok, _ = init_residues(FrequencySet([(5, 0)]), 5, "integration")
     assert not ok  # nonzero first component hits residue 0
 
@@ -139,9 +138,11 @@ def test_init_residues_reconstruction():
     ok, _ = init_residues(I, 11, "reconstruction")
     assert ok
     # repeated first components count once
-    ok, state = init_residues(FrequencySet([(0, 1), (0, 2), (3, 0)]), 5, "reconstruction")
+    I = FrequencySet([(0, 1), (0, 2), (3, 0)])
+    ok, state = init_residues(I, 5, "reconstruction")
     assert ok
-    assert state.heads.tolist() == [True, False, True]
+    assert state.values.tolist() == [0, 0, 3]
+    assert prepare_step(state, I, 1, "reconstruction").rows.tolist() == _prefix_mask(I, 2)
 
 
 def test_init_residues_input_checks():
@@ -155,8 +156,6 @@ def test_init_residues_input_checks():
     for ell in (-1, 2):
         with pytest.raises(ValueError):
             prepare_step(state, TRIPLE, ell, "integration")
-    with pytest.raises(ValueError):  # an integration state has no prefix mask
-        prepare_step(state, TRIPLE, 1, "reconstruction")
 
 
 def test_integration_kernel_hand_trace():
@@ -168,7 +167,6 @@ def test_integration_kernel_hand_trace():
     good, s1 = check_exactness_integration(step, 1)
     assert good
     assert s1.values.tolist() == [0, 1, 1]
-    assert s1.heads is None
     good, s0 = check_exactness_integration(step, 0)
     assert not good
     assert s0 is None  # no state is built for a rejected candidate
@@ -205,16 +203,15 @@ def test_integration_kernel_single_nonzero_row():
 def test_reconstruction_kernel_hand_trace():
     ok, state = init_residues(TRIPLE, 5, "reconstruction")
     assert ok
-    assert state.heads.tolist() == [True, False, True]
+    assert state.values.tolist() == [0, 0, 1]
     step = prepare_step(state, TRIPLE, 1, "reconstruction")  # column (0, 1, 0)
-    assert step.heads.tolist() == [True, True, True]
+    assert step.rows.tolist() == [True, True, True]
     good, s1 = check_exactness_reconstruction(step, 1)
     assert not good  # residues (0, 1, 1) collide
     assert s1 is None
     good, s2 = check_exactness_reconstruction(step, 2)
     assert good
     assert s2.values.tolist() == [0, 2, 1]
-    assert s2.heads.tolist() == [True, True, True]
 
 
 def test_reconstruction_kernel_single_frequency():
@@ -238,7 +235,7 @@ def test_kernels_reject_length_mismatch():
 
 
 def test_reconstruction_kernel_row_permutation_invariant():
-    # The prefix-mask kernel reads rows in natural order; its verdict must
+    # The reconstruction kernel reads rows in natural order; its verdict must
     # still be the order-free one: the reference pair-dedup kernel on a
     # random permutation of the same (nu, k) rows.
     rng = random.Random(9)
@@ -249,10 +246,9 @@ def test_reconstruction_kernel_row_permutation_invariant():
         values = _residues(I, M, z + [0])
         if not verify_reconstruction(Rank1Lattice(M, tuple(z)), FrequencySet(I.array[:, :-1])):
             continue
-        heads = np.ones(len(I), dtype=bool)
-        heads[1:] = np.any(I.array[1:, :-1] != I.array[:-1, :-1], axis=1)
         kcol = I.array[:, -1]
-        step = prepare_step(ResidueState(values, M, heads), I, I.d - 1, "reconstruction")
+        step = prepare_step(ResidueState(values, M), I, I.d - 1, "reconstruction")
+        assert step.rows.tolist() == _prefix_mask(I, I.d)
         perm = list(range(len(I)))
         rng.shuffle(perm)
         for y in range(M):
@@ -273,7 +269,7 @@ def test_duplicate_projections_do_not_false_negative():
     step = prepare_step(state, I, 1, "reconstruction")
     proj = FrequencySet(I.array[:, :2])
     assert len(proj) == 1
-    assert step.heads.tolist() == [True, False]
+    assert step.rows.tolist() == [True, False]
     for y in range(M):
         good, _ = check_exactness_reconstruction(step, y)
         assert good == verify_reconstruction(Rank1Lattice(M, (1, y)), proj)
@@ -323,26 +319,45 @@ def _walk(I, M, mode):
             return
 
 
+def _assert_next_rows(state, I, ell, mode):
+    # The rows step ell reads: in integration those with k_ell != 0, in
+    # reconstruction the first row of each length-(ell + 1) prefix of I.
+    rows = prepare_step(state, I, ell, mode).rows
+    if mode == "integration":
+        assert rows.tolist() == np.flatnonzero(I.array[:, ell]).tolist()
+    else:
+        assert rows.tolist() == _prefix_mask(I, ell + 1)
+
+
 def test_carried_residues_match_recomputation():
-    # After each acceptance the carried vector must equal the from-scratch
-    # residues; a reconstruction state's prefix mask must mark each first
-    # row of a prefix, and an integration state carries no mask.
+    # init_residues must agree with the reference, failed inits included,
+    # whose state is the first components mod M. After each acceptance the
+    # carried vector must equal the from-scratch residues, and the next step
+    # must read the rows defined from I itself.
     rng = random.Random(123)
     for mode in ("integration", "reconstruction"):
+        failed = 0
+        for _ in range(60):
+            I, _ = _random_instance(rng)
+            M = rng.choice((2, 3, 5, 7))  # small enough for some inits to fail
+            ok, state = init_residues(I, M, mode)
+            ref_ok, ref_values = _ref_init(I, M, mode)
+            assert ok == ref_ok
+            assert state.values.tolist() == ref_values.tolist()
+            failed += not ok
+        assert 0 < failed < 60
         built = 0
         while built < 25:
             I, M = _random_instance(rng)
-            if not init_residues(I, M, mode)[0]:
+            ok, state = init_residues(I, M, mode)
+            if not ok:
                 continue
+            _assert_next_rows(state, I, 1, mode)
             for z, state in _walk(I, M, mode):
                 padded = z + [0] * (I.d - len(z))
                 assert state.values.tolist() == _residues(I, M, padded).tolist()
-                if mode == "integration":
-                    assert state.heads is None
-                    continue
-                prefix = I.array[:, : len(z)]
-                heads = [True] + np.any(prefix[1:] != prefix[:-1], axis=1).tolist()
-                assert state.heads.tolist() == heads
+                if len(z) < I.d:
+                    _assert_next_rows(state, I, len(z), mode)
             built += 1
 
 
@@ -357,14 +372,9 @@ def test_accepted_states_equal_validated_states():
             for _, state in _walk(I, M, mode):
                 # Flags first: the validating constructor freezes in place.
                 assert not state.values.flags.writeable
-                assert state.heads is None or not state.heads.flags.writeable
-                checked = ResidueState(state.values, state.M, state.heads)
+                checked = ResidueState(state.values, state.M)
                 assert state.values.dtype == np.int64
                 assert np.array_equal(state.values, checked.values) and state.M == M
-                if mode == "integration":
-                    assert state.heads is None
-                else:
-                    assert np.array_equal(state.heads, checked.heads)
                 walked += 1
     assert walked > 50
     # With M (max|k| + 1) >= 2^63 the kernels compute in Python ints; states
@@ -407,8 +417,8 @@ def test_drivers_match_reference_kernel_and_driver():
             for seed in (trial, 10_000 + trial, 20_000 + trial):
                 cfg = CbcConfig(M=M, T=T, mode=mode, seed=seed)
                 assert cbc_construct(I, cfg) == _ref_construct(I, cfg)
-                got = cbc_construct_basic(I, M, T, mode, random.Random(seed))
-                assert got == _ref_construct_basic(I, M, T, mode, random.Random(seed))
+                got = cbc_construct_basic(I, M, mode, random.Random(seed))
+                assert got == _ref_construct_basic(I, M, mode, random.Random(seed))
                 compared += 2
     assert compared == 120 * 2 * 3 * 2
 
@@ -446,7 +456,9 @@ def _walk_near_bound(M, mode, rng, dtype):
             j = next(j for j in range(len(I)) if col[j] % M)
             forced = (-nu[j] * pow(col[j], -1, M)) % M
         else:
-            rows = [j for j in range(len(I)) if step.heads[j]]
+            mask = _prefix_mask(I, ell + 1)
+            assert step.rows.tolist() == mask
+            rows = [j for j in range(len(I)) if mask[j]]
             i, j = next((i, j) for i in rows for j in rows if (col[i] - col[j]) % M)
             forced = ((nu[j] - nu[i]) * pow(col[i] - col[j], -1, M)) % M
         proj = FrequencySet(I.array[:, : ell + 1])

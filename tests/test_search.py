@@ -161,7 +161,7 @@ def test_construct_draws_once_per_candidate():
         res = cbc_construct(I, CbcConfig(M=M, T=T, mode="reconstruction"), rng)
         assert rng.draws == sum(res.candidates_tested)
         rng = CountingRandom(seed)
-        res = cbc_construct_basic(I, M, T, "reconstruction", rng)
+        res = cbc_construct_basic(I, M, "reconstruction", rng)
         assert rng.draws == sum(res.candidates_tested)
 
 
@@ -207,7 +207,7 @@ def test_construct_basic_equals_construct_when_head_succeeds():
     I = gen_axis_cross(2, 6)
     for seed in range(10):
         bounded = cbc_construct(I, CbcConfig(M=29, T=8, mode="reconstruction", seed=seed))
-        fallback = cbc_construct_basic(I, 29, 8, "reconstruction", random.Random(seed))
+        fallback = cbc_construct_basic(I, 29, "reconstruction", random.Random(seed))
         if bounded.success:
             assert fallback.z == bounded.z
 
@@ -218,7 +218,7 @@ def test_construct_basic_survives_bad_head():
     saw_rescue = False
     for seed in range(60):
         bounded = cbc_construct(SQUARE, CbcConfig(M=5, T=1, mode="reconstruction", seed=seed))
-        fallback = cbc_construct_basic(SQUARE, 5, 1, "reconstruction", random.Random(seed))
+        fallback = cbc_construct_basic(SQUARE, 5, "reconstruction", random.Random(seed))
         assert fallback.success
         assert fallback.z[1] in {2, 3}
         if not bounded.success:
@@ -227,7 +227,7 @@ def test_construct_basic_survives_bad_head():
 
 
 def test_basic_fails_only_when_nothing_admissible():
-    res = cbc_construct_basic(gen_cube(2, 1), 5, 2, "reconstruction", random.Random(4))
+    res = cbc_construct_basic(gen_cube(2, 1), 5, "reconstruction", random.Random(4))
     assert res.status == "failed"
     assert max(res.candidates_tested) == 5  # swept all of 0..M-1
 
@@ -251,7 +251,7 @@ def test_exhaustive_dominates_basic():
         mode = rng.choice(["integration", "reconstruction"])
         if cbc_exhaustive(I, M, mode).success:
             for seed in range(5):
-                assert cbc_construct_basic(I, M, 2, mode, random.Random(seed)).success
+                assert cbc_construct_basic(I, M, mode, random.Random(seed)).success
             checked += 1
 
 
