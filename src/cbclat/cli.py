@@ -20,12 +20,15 @@ from math import isqrt
 import numpy as np
 
 from . import freqset, lattice
-from .heuristic import TrailEntry, heuristic_search, verifier
+from .heuristic import SearchOutcome, TrailEntry, heuristic_search, verifier
 from .kernels import MODE_RECONSTRUCTION, MODES
 from .primes import is_prime
 from .search import CbcConfig, cbc_construct
 
-FAMILIES = ("cube", "axiscross", "anova2", "whc")
+# The families generated from --d and --N; whc is generated from --threshold.
+GRID_FAMILIES = {"cube": freqset.gen_cube, "axiscross": freqset.gen_axis_cross,
+                 "anova2": freqset.gen_superposition2}
+FAMILIES = (*GRID_FAMILIES, "whc")
 
 BENCH_COLUMNS = ("experiment", "family", "d", "N", "threshold", "gamma", "mode",
                  "K", "T", "seed", "rep", "card", "M", "status", "verified", "seconds")
@@ -66,43 +69,41 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _generate(family: str, d: int | None, N: int | None, threshold: int | None,
               gamma: freqset.WeightSpec, dmax: int | None) -> freqset.FrequencySet:
-    if family == "cube":
+    if family in GRID_FAMILIES:
         if d is None or N is None:
-            raise UsageError("cube needs --d and --N")
-        return freqset.gen_cube(d, N)
-    if family == "axiscross":
-        if d is None or N is None:
-            raise UsageError("axiscross needs --d and --N")
-        return freqset.gen_axis_cross(d, N)
-    if family == "anova2":
-        if d is None or N is None:
-            raise UsageError("anova2 needs --d and --N")
-        return freqset.gen_superposition2(d, N)
-    if family == "whc":
-        if threshold is None:
-            raise UsageError("whc needs --threshold")
-        if dmax is None:
-            if gamma.kind != freqset.WeightSpec.INVERSE_SQUARE:
-                raise UsageError("explicit --gamma weights need --dmax")
-            dmax = max(1, isqrt(threshold))
-        return freqset.gen_weighted_hyperbolic(gamma, threshold, dmax)
-    raise UsageError(f"unknown family {family!r}")
+            raise UsageError(f"{family} needs --d and --N")
+        return GRID_FAMILIES[family](d, N)
+    if threshold is None:
+        raise UsageError("whc needs --threshold")
+    if dmax is None:
+        if gamma.kind != freqset.WeightSpec.INVERSE_SQUARE:
+            raise UsageError("explicit --gamma weights need --dmax")
+        dmax = max(1, isqrt(threshold))
+    return freqset.gen_weighted_hyperbolic(gamma, threshold, dmax)
 
 
-def _result_json(I, mode, seed, status, M, z, trail, seconds, verified: bool) -> dict:
+def _result_json(I, outcome: SearchOutcome, seed: int, seconds: float, verified: bool) -> dict:
     """The result object; verified is the caller's verdict on (M, z)."""
-    return {
-        "status": status,
-        "d": I.d,
-        "M": M if status == "success" else None,
-        "z": list(z) if status == "success" else None,
-        "mode": mode,
-        "seed": seed,
-        "verified": verified,
-        "trail": [{"Mtilde": e.M_tilde, "attempts": e.attempts, "ok": e.ok,
-                   "seconds": e.seconds} for e in trail],
-        "seconds": seconds,
-    }
+    ok = outcome.success
+    trail = [{"Mtilde": e.M_tilde, "attempts": e.attempts, "ok": e.ok, "seconds": e.seconds}
+             for e in outcome.trail]
+    return {"status": outcome.status, "d": I.d, "M": outcome.M if ok else None,
+            "z": list(outcome.z) if ok else None, "mode": outcome.mode, "seed": seed,
+            "verified": verified, "trail": trail, "seconds": seconds}
+
+
+def _round_trip(I, outcome: SearchOutcome, rng: random.Random) -> dict:
+    """The demo fields: a random polynomial on I sampled and reconstructed."""
+    demo = {"coefficients": len(I), "max_abs_error": None, "rel_error": None}
+    if outcome.success:
+        lat = lattice.Rank1Lattice(outcome.M, outcome.z)
+        coeffs = np.asarray([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                             for _ in range(len(I))])
+        samples = lattice.eval_on_lattice(lattice.TrigPolynomial(I, coeffs), lat)
+        max_err = float(np.max(np.abs(lattice.reconstruct_coeffs(lat, I, samples) - coeffs)))
+        norm1 = float(np.sum(np.abs(coeffs)))
+        demo.update(max_abs_error=max_err, rel_error=max_err / norm1 if norm1 else 0.0)
+    return demo
 
 
 def _emit(obj: dict, out: str | None, fmt: str) -> None:
@@ -158,25 +159,25 @@ def cmd_construct(args) -> int:
     started = time.perf_counter()
     result = cbc_construct(I, cfg)
     seconds = time.perf_counter() - started
-    trail = [TrailEntry(args.M, 1, result.success, seconds)]
+    outcome = SearchOutcome(result.status, result.M, result.z,
+                            (TrailEntry(args.M, 1, result.success, seconds),), args.mode)
     # Unlike heuristic_search, cbc_construct does not verify its result.
-    verified = (result.success
-                and verifier(args.mode)(lattice.Rank1Lattice(args.M, result.z), I))
-    obj = _result_json(I, args.mode, seed, result.status, result.M, result.z, trail, seconds,
-                       verified)
-    _emit(obj, args.out, args.format)
+    verified = result.success and verifier(args.mode)(lattice.Rank1Lattice(args.M, result.z), I)
+    _emit(_result_json(I, outcome, seed, seconds, verified), args.out, args.format)
     return 0 if result.success else 2
 
 
 def cmd_search(args) -> int:
+    """search, and reconstruct-demo: search in reconstruction mode plus a round trip."""
     I = freqset.read_set(args.setfile)
     seed = _seed_or_entropy(args.seed)
+    rng = random.Random(seed)
     started = time.perf_counter()
-    outcome = heuristic_search(I, args.mode, K=args.K, T=args.T, rng=random.Random(seed))
-    seconds = time.perf_counter() - started
+    outcome = heuristic_search(I, args.mode, K=args.K, T=args.T, rng=rng)
     # heuristic_search verifies its lattice directly and raises if that fails.
-    obj = _result_json(I, args.mode, seed, outcome.status, outcome.M, outcome.z,
-                       outcome.trail, seconds, outcome.success)
+    obj = _result_json(I, outcome, seed, time.perf_counter() - started, outcome.success)
+    if args.command == "reconstruct-demo":
+        obj.update(_round_trip(I, outcome, rng))
     _emit(obj, args.out, args.format)
     return 0 if outcome.success else 2
 
@@ -190,48 +191,23 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_reconstruct_demo(args) -> int:
-    I = freqset.read_set(args.setfile)
-    seed = _seed_or_entropy(args.seed)
-    rng = random.Random(seed)
-    started = time.perf_counter()
-    outcome = heuristic_search(I, MODE_RECONSTRUCTION, K=args.K, T=args.T, rng=rng)
-    demo = {"coefficients": len(I), "max_abs_error": None, "rel_error": None}
-    if outcome.success:
-        lat = lattice.Rank1Lattice(outcome.M, outcome.z)
-        coeffs = np.asarray([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                             for _ in range(len(I))])
-        samples = lattice.eval_on_lattice(lattice.TrigPolynomial(I, coeffs), lat)
-        recovered = lattice.reconstruct_coeffs(lat, I, samples)
-        max_err = float(np.max(np.abs(recovered - coeffs)))
-        norm1 = float(np.sum(np.abs(coeffs)))
-        demo.update(max_abs_error=max_err, rel_error=max_err / norm1 if norm1 else 0.0)
-    # heuristic_search verifies its lattice directly and raises if that fails.
-    obj = _result_json(I, MODE_RECONSTRUCTION, seed, outcome.status, outcome.M, outcome.z,
-                       outcome.trail, time.perf_counter() - started, outcome.success)
-    _emit({**obj, **demo}, args.out, args.format)
-    return 0 if outcome.success else 2
-
-
 def cmd_bench(args) -> int:
     gamma = _parse_gamma(args.gamma)
     seed0 = _seed_or_entropy(args.seed)
-    jobs = []
     if args.set == "whc":
-        for thr in _parse_int_list(args.threshold, "--threshold") if args.threshold else []:
-            dmax = args.dmax or max(1, isqrt(thr))
-            jobs.append((f"whc-t{thr}", dict(family="whc", d=dmax, N=None, threshold=thr)))
-        if not jobs:
+        if not args.threshold:
             raise UsageError("whc bench needs --threshold")
+        jobs = [(f"whc-t{t}", dict(family="whc", d=args.dmax or max(1, isqrt(t)), N=None, threshold=t))
+                for t in _parse_int_list(args.threshold, "--threshold")]
+    elif args.d is None or args.N is None:
+        raise UsageError(f"{args.set} bench needs --d and --N")
     else:
-        if args.d is None or args.N is None:
-            raise UsageError(f"{args.set} bench needs --d and --N")
-        for d in _parse_int_list(args.d, "--d"):
-            jobs.append((f"{args.set}-d{d}-N{args.N}", dict(family=args.set, d=d, N=args.N, threshold=None)))
+        jobs = [(f"{args.set}-d{d}-N{args.N}", dict(family=args.set, d=d, N=args.N, threshold=None))
+                for d in _parse_int_list(args.d, "--d")]
 
     rows = []
     for exp_id, params in sorted(jobs, key=lambda job: job[0]):
-        I = _generate(params["family"], params["d"], params["N"], params["threshold"], gamma, args.dmax)
+        I = _generate(**params, gamma=gamma, dmax=args.dmax)
         common = dict(experiment=exp_id, **params, gamma=args.gamma, mode=args.mode, K=args.K,
                       T=args.T, card=len(I))
         sizes, times = [], []
@@ -241,10 +217,9 @@ def cmd_bench(args) -> int:
             outcome = heuristic_search(I, args.mode, K=args.K, T=args.T,
                                        rng=random.Random(rep_seed))
             times.append(time.perf_counter() - started)
-            M = outcome.M if outcome.success else None
-            if M is not None:
-                sizes.append(M)
-            rows.append(_bench_row(**common, seed=rep_seed, rep=rep, M=M, status=outcome.status,
+            if outcome.success:
+                sizes.append(outcome.M)
+            rows.append(_bench_row(**common, seed=rep_seed, rep=rep, M=outcome.M, status=outcome.status,
                                    verified=outcome.success, seconds=f"{times[-1]:.6f}"))
         if not times:
             continue
@@ -265,22 +240,29 @@ def build_parser() -> Parser:
     parser = Parser(prog="cbclat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_k=True):
+    def add_common(p, with_k=True, with_mode=True):
         if with_k:
             p.add_argument("--K", type=int, default=5, help="retries per lattice size (default 5)")
         p.add_argument("--T", type=int, default=100, help="candidate budget per step (default 100)")
-        p.add_argument("--mode", choices=list(MODES), default=MODE_RECONSTRUCTION)
+        if with_mode:
+            p.add_argument("--mode", choices=list(MODES), default=MODE_RECONSTRUCTION)
         p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed; drawn and echoed if omitted")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
+    def add_family(p, sweep):
+        # gen takes one --d and --threshold; bench takes comma lists of them.
+        p.add_argument("--set", choices=list(FAMILIES), required=True)
+        p.add_argument("--d", type=None if sweep else int,
+                       help="comma-separated dimensions" if sweep else None)
+        p.add_argument("--N", type=int, default=None)
+        p.add_argument("--threshold", type=None if sweep else int,
+                       help="comma-separated thresholds (whc)" if sweep else None)
+        p.add_argument("--gamma", default="j^-2")
+        p.add_argument("--dmax", type=int, default=None)
+
     p = sub.add_parser("gen", help="generate a frequency-set file")
-    p.add_argument("--set", choices=list(FAMILIES), required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--threshold", type=int, default=None)
-    p.add_argument("--gamma", default="j^-2")
-    p.add_argument("--dmax", type=int, default=None)
+    add_family(p, sweep=False)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -303,16 +285,11 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("reconstruct-demo", help="sample a random polynomial and reconstruct it")
     p.add_argument("setfile")
-    add_common(p)
-    p.set_defaults(func=cmd_reconstruct_demo)
+    add_common(p, with_mode=False)
+    p.set_defaults(func=cmd_search, mode=MODE_RECONSTRUCTION)
 
     p = sub.add_parser("bench", help="repeated searches over a family sweep, CSV output")
-    p.add_argument("--set", choices=list(FAMILIES), required=True)
-    p.add_argument("--d", default=None, help="comma-separated dimensions")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--threshold", default=None, help="comma-separated thresholds (whc)")
-    p.add_argument("--gamma", default="j^-2")
-    p.add_argument("--dmax", type=int, default=None)
+    add_family(p, sweep=True)
     p.add_argument("--reps", type=int, default=10)
     add_common(p)
     p.set_defaults(func=cmd_bench, format="csv")
@@ -321,14 +298,10 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (UsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,10 @@ MODES = (MODE_INTEGRATION, MODE_RECONSTRUCTION)
 
 @dataclass(frozen=True)
 class ResidueState:
-    """nu_j = k_j . (z_1..z_l, 0..) mod M for every frequency k_j, in set order."""
+    """nu_j = k_j . (z_1..z_l, 0..) mod M for every frequency k_j, in set order.
+
+    The checks are for states built by callers: _accepted skips them, because
+    it builds its residues just reduced mod M."""
 
     values: np.ndarray
     M: int

@@ -58,7 +58,7 @@ class Rank1Lattice:
         M = operator.index(self.M)
         if M < 1:
             raise ValueError("lattice size M must be >= 1")
-        z = tuple(int(v) for v in self.z)
+        z = tuple(operator.index(v) for v in self.z)
         if len(z) < 1:
             raise ValueError("generating vector must have d >= 1")
         for v in z:
@@ -76,8 +76,12 @@ class Rank1Lattice:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Rank1Lattice":
-        lat = cls(M=int(obj["M"]), z=tuple(int(v) for v in obj["z"]))
-        if "d" in obj and int(obj["d"]) != lat.d:
+        try:  # read through operator.index: M = 11.5 is refused, not truncated to 11
+            lat = cls(M=obj["M"], z=obj["z"])
+            d = operator.index(obj.get("d", lat.d))
+        except TypeError as exc:
+            raise ValueError(f"lattice JSON needs integer M, d and z entries: {exc}") from None
+        if d != lat.d:
             raise ValueError("lattice dimension field disagrees with z length")
         return lat
 

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior: output shapes and exit codes."""
 
+import csv
 import importlib.metadata
+import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -212,15 +216,23 @@ def test_reconstruct_demo_one_schema(tmp_path, capsys, monkeypatch):
     assert failed["max_abs_error"] is None and failed["rel_error"] is None
 
 
-def test_search_csv_format(tmp_path, capsys):
+@pytest.mark.parametrize("args", [["construct", "--M", "11"], ["search"], ["reconstruct-demo"]],
+                         ids=["construct", "search", "reconstruct-demo"])
+def test_search_csv_format(tmp_path, capsys, args):
+    # Every command that reports a result gives the same object in CSV as in
+    # JSON: the JSON keys without trail, in order, and the same lattice.
     setfile = write_axis_set(tmp_path, 2, 2)
     capsys.readouterr()
-    assert main(["search", setfile, "--seed", "2", "--format", "csv"]) == 0
-    header, row = capsys.readouterr().out.strip().splitlines()
-    cols = header.split(",")
-    assert "trail" not in cols
-    values = dict(zip(cols, row.split(",")))
-    assert values["status"] == "success"
+    argv = [args[0], setfile, *args[1:], "--seed", "2"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == [key for key in obj if key != "trail"]
+    values = dict(zip(header, row))
+    assert values["status"] == obj["status"] == "success"
+    assert values["M"] == str(obj["M"])
+    assert values["z"] == " ".join(map(str, obj["z"]))
     assert values["z"].startswith("1 ")
 
 
@@ -241,11 +253,21 @@ def test_verify_true_and_false(tmp_path, capsys):
 
 def test_verify_io_errors(tmp_path, capsys):
     setfile = write_axis_set(tmp_path, 2, 2)
-    assert main(["verify", setfile, str(tmp_path / "missing.json")]) == 1
-    broken = tmp_path / "broken.json"
-    broken.write_text('{"M": 7}')  # no z entry
-    assert main(["verify", setfile, str(broken)]) == 1
     capsys.readouterr()
+    broken = tmp_path / "broken.json"
+    for text in ['{"M": 7}',                          # no z entry
+                 '{"M": 11.5, "z": [1, 4.7]}',        # truncated, (11, (1, 4)) would verify
+                 '{"M": 7, "z": 5}',
+                 '[7, [1, 2]]',
+                 '{"M": null, "z": [1, 2]}',
+                 '{"M": 11, "z": [1, 4], "d": 2.5}']:
+        broken.write_text(text)
+        assert main(["verify", setfile, str(broken)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert main(["verify", setfile, str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_reconstruct_demo(tmp_path, capsys):
@@ -393,11 +415,14 @@ def test_readme_seed42_example(tmp_path, capsys):
                               {"Mtilde": 4637, "attempts": 5, "ok": False}])
 
 
-def test_usage_errors_exit1(capsys):
+def test_usage_errors_exit1(tmp_path, capsys):
     assert main(["construct"]) == 1          # missing positional and --M
     assert main(["frobnicate"]) == 1         # unknown subcommand
     assert main(["search"]) == 1             # missing set file
-    capsys.readouterr()
+    setfile = write_axis_set(tmp_path, 1, 1)
+    # reconstruct-demo always reconstructs, so it refuses --mode
+    assert main(["reconstruct-demo", setfile, "--mode", "integration"]) == 1
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_bad_seed_exit1(tmp_path, capsys):
@@ -411,7 +436,24 @@ def test_missing_setfile_exit1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_readme_commands(tmp_path, capsys, monkeypatch):
+    # Every cbclat line of the README's "Command line" section, run in order
+    # in one directory, exits 0: a documented flag that no longer exists, or
+    # a file that no earlier line writes, fails here.
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1].split("\n## ")[0]
+    commands = [shlex.split(line, comments=True)
+                for block in re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+                for line in block.splitlines() if line.startswith("cbclat ")]
+    assert {argv[1] for argv in commands} == {"gen", "construct", "search", "verify",
+                                              "reconstruct-demo", "bench"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def run_checkout(cmd):

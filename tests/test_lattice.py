@@ -42,8 +42,16 @@ def test_lattice_json_round_trip():
     lat = Rank1Lattice(7, (1, 3, 5))
     assert lat.as_dict() == {"d": 3, "M": 7, "z": [1, 3, 5]}
     assert Rank1Lattice.from_dict(lat.as_dict()) == lat
+    assert Rank1Lattice.from_dict({"M": 7, "z": [1, 3, 5]}) == lat
     with pytest.raises(ValueError):
         Rank1Lattice.from_dict({"d": 2, "M": 7, "z": [1, 3, 5]})
+    # Outside input is read exactly: a float is refused, not truncated, and a
+    # wrong shape is a ValueError, not a TypeError.
+    for bad in ({"M": 11.5, "z": [1, 4.7]}, {"M": 7, "z": [1, 3.0, 5]},
+                {"M": 7, "z": [1, 3, 5], "d": 3.0}, {"M": 7, "z": 5},
+                {"M": None, "z": [1, 3]}, {"M": 7, "z": None}, [7, [1, 3]]):
+        with pytest.raises(ValueError):
+            Rank1Lattice.from_dict(bad)
 
 
 def test_nodes_examples():
@@ -235,6 +243,8 @@ def test_numpy_integer_lattice_size():
     assert _residues(I, M, lat.z).tolist() == [want]
     with pytest.raises(TypeError):
         Rank1Lattice(7.0, (1,))
+    with pytest.raises(TypeError):
+        Rank1Lattice(7, (1, 3.0))
 
 
 def test_eval_poly_examples():
