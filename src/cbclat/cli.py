@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 0:
+        raise UsageError("--reps must be >= 0")
     gamma = _parse_gamma(args.gamma)
     seed0 = _seed_or_entropy(args.seed)
     if args.set == "whc":

@@ -21,7 +21,8 @@ SIZE_CAP = 10**8
 # product k . z is int64 while M (max ||k||_1 + 1) < 2^63 (cached row_norms).
 COMPONENT_LIMIT = 2**31 - 1
 
-_CHUNK_CELLS = 1 << 20  # components per chunk of format_set's text: bounds its memory
+_CHUNK_CELLS = 1 << 16  # components per chunk of format_set's text: bounds its memory
+_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)  # a component has 1 + #{p <= |v|} digits
 
 
 def _effective_cap(size_cap) -> int:
@@ -301,14 +302,37 @@ def max_abs(I: FrequencySet) -> int:
     return int(max(arr.max(), -arr.min(), 0))
 
 
+def _chunk_text(block: np.ndarray) -> str:
+    """block's rows as set-file text, built as bytes in a few numpy passes."""
+    d = block.shape[1]
+    flat = block.ravel()
+    neg = flat < 0
+    mag = np.abs(flat).astype(np.int32)  # |v| <= COMPONENT_LIMIT < 2^31
+    digits = np.searchsorted(_POW10, mag, side="right") + 1
+    last = np.cumsum(digits + neg + 1) - 2  # each component's last digit
+    buf = np.empty(int(last[-1]) + 2, dtype=np.uint8)
+    buf[last + 1] = ord(" ")
+    buf[last[d - 1::d] + 1] = ord("\n")
+    buf[(last - digits)[neg]] = ord("-")
+    if digits.max() == 1:
+        buf[last] = mag + ord("0")
+    else:  # right to left, each pass over the components with digits left
+        while mag.size:
+            mag, digit = np.divmod(mag, 10)
+            buf[last] = digit + ord("0")
+            more = mag > 0
+            mag, last = mag[more], last[more] - 1
+    return str(memoryview(buf), "ascii")
+
+
 def format_set(I: FrequencySet):
     """Yield I's set-file text (one frequency per line, components joined by one
-    space), one %-format per chunk of at most _CHUNK_CELLS components."""
+    space) one chunk of at most _CHUNK_CELLS components at a time. Each chunk is
+    built as bytes in a few numpy passes: no Python object per component, and
+    its temporaries stay under 5 MB whatever |I| and d are."""
     step = max(1, _CHUNK_CELLS // I.d)
-    line = " ".join(["%d"] * I.d) + "\n"
     for start in range(0, len(I), step):
-        block = I.array[start:start + step]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        yield _chunk_text(I.array[start:start + step])
 
 
 def write_set(I: FrequencySet, path) -> None:

@@ -79,6 +79,8 @@ class Rank1Lattice:
         try:  # read through operator.index: M = 11.5 is refused, not truncated to 11
             lat = cls(M=obj["M"], z=obj["z"])
             d = operator.index(obj.get("d", lat.d))
+            if any(isinstance(v, bool) for v in (obj["M"], obj.get("d"), *obj["z"])):
+                raise TypeError("true and false are not integers")
         except TypeError as exc:
             raise ValueError(f"lattice JSON needs integer M, d and z entries: {exc}") from None
         if d != lat.d:

@@ -70,9 +70,11 @@ def test_gen_stdout(capsys):
     ["--set", "anova2", "--d", "60", "--N", "1"],
     ["--set", "whc", "--threshold", "200", "--dmax", "14"],
     ["--set", "whc", "--threshold", "6", "--gamma", "1,1/2,1/3", "--dmax", "3"],
-], ids=["cube", "axiscross", "anova2", "whc", "whc-explicit"])
+    ["--set", "cube", "--d", "3", "--N", "40"],
+], ids=["cube", "axiscross", "anova2", "whc", "whc-explicit", "cube-chunks"])
 def test_gen_stdout_matches_out_file(tmp_path, capsys, args):
-    # One formatter serves both: stdout gets exactly the file's bytes.
+    # One formatter serves both: stdout gets exactly the file's bytes. anova2
+    # (7201 x 60) and cube-chunks (81^3 x 3) span several chunks of components.
     out = tmp_path / "set.txt"
     assert main(["gen", *args, "--out", str(out)]) == 0
     count = capsys.readouterr().out
@@ -260,7 +262,10 @@ def test_verify_io_errors(tmp_path, capsys):
                  '{"M": 7, "z": 5}',
                  '[7, [1, 2]]',
                  '{"M": null, "z": [1, 2]}',
-                 '{"M": 11, "z": [1, 4], "d": 2.5}']:
+                 '{"M": 11, "z": [1, 4], "d": 2.5}',
+                 '{"M": 11, "z": [true, 4]}',         # read as (11, (1, 4)), which verifies
+                 '{"M": true, "z": [0, 0]}',
+                 '{"M": 11, "z": [1, 4], "d": true}']:
         broken.write_text(text)
         assert main(["verify", setfile, str(broken)]) == 1, text
         captured = capsys.readouterr()
@@ -423,6 +428,9 @@ def test_usage_errors_exit1(tmp_path, capsys):
     # reconstruct-demo always reconstructs, so it refuses --mode
     assert main(["reconstruct-demo", setfile, "--mode", "integration"]) == 1
     assert "--mode" in capsys.readouterr().err
+    assert main(["bench", "--set", "cube", "--d", "1", "--N", "1", "--reps", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "--reps" in captured.err
 
 
 def test_bad_seed_exit1(tmp_path, capsys):

@@ -49,7 +49,9 @@ def test_lattice_json_round_trip():
     # wrong shape is a ValueError, not a TypeError.
     for bad in ({"M": 11.5, "z": [1, 4.7]}, {"M": 7, "z": [1, 3.0, 5]},
                 {"M": 7, "z": [1, 3, 5], "d": 3.0}, {"M": 7, "z": 5},
-                {"M": None, "z": [1, 3]}, {"M": 7, "z": None}, [7, [1, 3]]):
+                {"M": None, "z": [1, 3]}, {"M": 7, "z": None}, [7, [1, 3]],
+                # JSON true/false are Python bools, which operator.index reads as 1/0
+                {"M": 11, "z": [True, 4]}, {"M": True, "z": [0]}, {"M": 7, "z": [1], "d": True}):
         with pytest.raises(ValueError):
             Rank1Lattice.from_dict(bad)
 
