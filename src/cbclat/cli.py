@@ -45,9 +45,10 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _bench_row(**fields) -> list[str]:
-    """One bench output row in BENCH_COLUMNS order; None becomes empty."""
-    return ["" if fields[c] is None else str(fields[c]) for c in BENCH_COLUMNS]
+def _bench_csv(row: dict) -> list[str]:
+    """A bench row as CSV cells: None becomes empty, seconds get 6 decimals."""
+    return ["" if row[c] is None else f"{row[c]:.6f}" if c == "seconds" else str(row[c])
+            for c in BENCH_COLUMNS]
 
 
 def _parse_gamma(text: str) -> freqset.WeightSpec:
@@ -210,8 +211,8 @@ def cmd_bench(args) -> int:
     rows = []
     for exp_id, params in sorted(jobs, key=lambda job: job[0]):
         I = _generate(**params, gamma=gamma, dmax=args.dmax)
-        common = dict(experiment=exp_id, **params, gamma=args.gamma, mode=args.mode, K=args.K,
-                      T=args.T, card=len(I))
+        # Rows are typed and keyed in BENCH_COLUMNS order; the CSV formats them.
+        common = dict(experiment=exp_id, **params, gamma=args.gamma, mode=args.mode, K=args.K, T=args.T)
         sizes, times = [], []
         for rep in range(args.reps):
             rep_seed = seed0 + rep
@@ -221,19 +222,18 @@ def cmd_bench(args) -> int:
             times.append(time.perf_counter() - started)
             if outcome.success:
                 sizes.append(outcome.M)
-            rows.append(_bench_row(**common, seed=rep_seed, rep=rep, M=outcome.M, status=outcome.status,
-                                   verified=outcome.success, seconds=f"{times[-1]:.6f}"))
+            rows.append(dict(**common, seed=rep_seed, rep=rep, card=len(I), M=outcome.M,
+                             status=outcome.status, verified=outcome.success, seconds=times[-1]))
         if not times:
             continue
         for name, agg in (("mean", lambda v: sum(v) / len(v)), ("min", min), ("max", max)):
-            rows.append(_bench_row(**common, seed=None, rep=name,
-                                   M=agg(sizes) if sizes else None, status="", verified="",
-                                   seconds=f"{agg(times):.6f}"))
+            rows.append(dict(**common, seed=None, rep=name, card=len(I), M=agg(sizes) if sizes else None,
+                             status=None, verified=None, seconds=agg(times)))
 
     if args.format == "json":
-        text = json.dumps([dict(zip(BENCH_COLUMNS, row)) for row in rows], indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
-        text = _csv_text([BENCH_COLUMNS, *rows])
+        text = _csv_text([BENCH_COLUMNS, *map(_bench_csv, rows)])
     _write(text, args.out)
     return 0
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import lattice
 from .freqset import FrequencySet, expansion, max_abs
-from .kernels import MODE_INTEGRATION, MODE_RECONSTRUCTION, MODES
+from .kernels import MODE_INTEGRATION, MODE_RECONSTRUCTION
 from .primes import nextprime
 from .search import CbcConfig, cbc_construct
 
@@ -74,8 +74,6 @@ def heuristic_search(I: FrequencySet, mode: str = MODE_RECONSTRUCTION, K: int = 
     on to nextprime(M/2). Size 2 is attempted and then ends the descent. One
     RNG stream drives all attempts, so outcomes are reproducible per seed.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
     if K < 1 or T < 1:
         raise ValueError("need K >= 1 and T >= 1")
     if rng is None:
@@ -86,19 +84,15 @@ def heuristic_search(I: FrequencySet, mode: str = MODE_RECONSTRUCTION, K: int = 
     trail: list[TrailEntry] = []
     while True:
         started = time.perf_counter()
-        attempts = 0
-        winner = None
-        while attempts < K and winner is None:
-            attempts += 1
-            cfg = CbcConfig(M=m_tilde, T=min(T, m_tilde), mode=mode)
+        cfg = CbcConfig(M=m_tilde, T=min(T, m_tilde), mode=mode)
+        for attempts in range(1, K + 1):
             result = cbc_construct(I, cfg, rng)
             if result.success:
-                winner = result.z
-        trail.append(TrailEntry(m_tilde, attempts, winner is not None,
-                                time.perf_counter() - started))
-        if winner is None:
+                break
+        trail.append(TrailEntry(m_tilde, attempts, result.success, time.perf_counter() - started))
+        if not result.success:
             break
-        best = (m_tilde, winner)
+        best = (m_tilde, result.z)
         if m_tilde == 2:
             break
         m_tilde = nextprime(Fraction(m_tilde, 2))

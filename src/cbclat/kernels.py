@@ -12,7 +12,8 @@ class: a successful init and every accepted step leave them so. Rows sharing
 a prefix are contiguous in natural order, so row j starts a new length-l
 prefix exactly where nu_j != nu_{j-1} or k_{j,l} != k_{j-1,l}; reconstruction
 reads one row per distinct prefix, the projected set the direct verifier
-reads. Integration reads only the rows with k_{j,l} != 0 (FrequencySet.nonzeros).
+reads. Integration reads only the rows with k_{j,l} != 0. Both take column l
+from FrequencySet.nonzeros, never from the dense array.
 
 prepare_step selects those rows once per step; a candidate then costs one
 (v + y k) mod M over them and a zero test or a sort. Only an accepted y builds
@@ -86,16 +87,18 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
         raise ValueError("frequency set size disagrees with residue vector")
     if not 0 <= ell < I.d:
         raise ValueError(f"component index {ell} outside 0..{I.d - 1}")
-    moved, dk = I.nonzeros(ell)
-    dk = exact_operand(dk, state.M)
+    moved, values = I.nonzeros(ell)
+    dk = exact_operand(values, state.M)
     if mode == MODE_INTEGRATION:
         return Step(state, moved, state.values[moved], dk, moved, dk)
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
-    nu, col = state.values, I.array[:, ell]
+    nu, col = state.values, np.zeros(len(I), dtype=values.dtype)
+    col[moved] = values
     rows = np.ones(nu.shape[0], dtype=bool)
     rows[1:] = (nu[1:] != nu[:-1]) | (col[1:] != col[:-1])
-    return Step(state, rows, nu[rows], exact_operand(col[rows], state.M), moved, dk)
+    # col holds the values dk holds and zeros, so dk's dtype keeps it exact.
+    return Step(state, rows, nu[rows], col[rows].astype(dk.dtype, copy=False), moved, dk)
 
 
 def _shifted(step: Step, y: int) -> np.ndarray:

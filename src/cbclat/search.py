@@ -3,8 +3,8 @@
 The candidate stream per step is a uniformly random permutation of {0..M-1},
 generated lazily by a sparse Fisher-Yates shuffle: one random draw per
 candidate read. The bounded driver cbc_construct reads at most the first T
-entries; cbc_construct_basic reads on through the rest and can only fail
-when no admissible component exists at all.
+entries; cbc_construct_basic is cbc_construct at T = M, so it reads on through
+the rest and can only fail when no admissible component exists at all.
 
 All randomness flows through a caller-supplied random.Random (stdlib Mersenne
 Twister), so a seed pins the full candidate order. Reproducibility holds for
@@ -78,11 +78,10 @@ def two_step_permutation(M: int, rng: random.Random):
     return entries()
 
 
-def _drive(I: FrequencySet, M: int, mode: str, step_candidates, counted_budget: int,
-           seed: int | None) -> CbcResult:
-    """Common CBC loop: z_1 = 1, then one accepted candidate per later step."""
-    if M < 2:
-        raise ValueError("need M >= 2")
+def _drive(I: FrequencySet, M: int, mode: str, step_candidates, seed: int | None) -> CbcResult:
+    """Common CBC loop: z_1 = 1, then per later step the first admissible y of
+    step_candidates(), which yields at least one candidate in test order."""
+    M = operator.index(M)
     kernel = (kernels.check_exactness_integration if mode == MODE_INTEGRATION
               else kernels.check_exactness_reconstruction)
     ok, state = kernels.init_residues(I, M, mode)
@@ -92,20 +91,14 @@ def _drive(I: FrequencySet, M: int, mode: str, step_candidates, counted_budget: 
     counts: list[int] = []
     for ell in range(1, I.d):
         step = kernels.prepare_step(state, I, ell, mode)
-        accepted = None
-        tested = 0
-        for y in step_candidates():
-            tested += 1
-            good, candidate_state = kernel(step, y)
-            if good:
-                accepted = y
-                state = candidate_state
+        for tested, y in enumerate(step_candidates(), 1):
+            ok, state = kernel(step, y)
+            if ok:
                 break
         counts.append(tested)
-        if accepted is None:
+        if not ok:
             return CbcResult("failed", None, tuple(counts), mode, M, seed)
-        z.append(accepted)
-    assert all(c <= counted_budget for c in counts)
+        z.append(y)
     return CbcResult("success", tuple(z), tuple(counts), mode, M, seed)
 
 
@@ -121,27 +114,24 @@ def cbc_construct(I: FrequencySet, cfg: CbcConfig, rng: random.Random | None = N
     # tests. The generator is looked up at call time, so a wrapper installed
     # on the module attribute sees every step.
     steps = lambda: itertools.islice(two_step_permutation(cfg.M, rng), cfg.T)
-    return _drive(I, cfg.M, cfg.mode, steps, cfg.T, cfg.seed)
+    return _drive(I, cfg.M, cfg.mode, steps, cfg.seed)
 
 
 def cbc_construct_basic(I: FrequencySet, M: int, mode: str,
                         rng: random.Random | None = None) -> CbcResult:
     """CBC with fallback: each step reads its random permutation to the end.
 
-    Same RNG stream and candidate order as cbc_construct, so it accepts the
-    same components wherever cbc_construct's first T candidates hold an
-    admissible one, for any T; a step fails only when all M possible
-    components are inadmissible for the current prefix.
+    This is cbc_construct with T = M: the same RNG stream and candidate order,
+    so it accepts the same components wherever cbc_construct's first T
+    candidates hold an admissible one, for any T; a step fails only when all
+    M possible components are inadmissible for the current prefix.
     """
-    if rng is None:
-        rng = random.Random()
-    steps = lambda: two_step_permutation(M, rng)
-    return _drive(I, M, mode, steps, M, None)
+    return cbc_construct(I, CbcConfig(M, M, mode), rng)
 
 
 def cbc_exhaustive(I: FrequencySet, M: int, mode: str) -> CbcResult:
     """Deterministic brute-force CBC scanning y = 0, 1, ..., M-1 per step."""
-    return _drive(I, M, mode, lambda: iter(range(M)), M, None)
+    return _drive(I, M, mode, lambda: iter(range(M)), None)
 
 
 def estimate_failure_bound(d: int, c, T: int) -> float:

@@ -338,7 +338,14 @@ def test_bench_json_format(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert isinstance(payload, list) and len(payload) == 4
     assert all(set(rec) == set(BENCH_COLUMNS) for rec in payload)
-    assert payload[0]["rep"] == "0" and payload[0]["status"] == "success"
+    # Typed values, not the CSV cells: ints, floats, bools and null.
+    first = payload[0]
+    assert first["rep"] == 0 and first["status"] == "success" and first["verified"] is True
+    assert type(first["M"]) is int and type(first["seconds"]) is float
+    assert first["threshold"] is None and first["d"] == 2 and first["seed"] == 3
+    assert [rec["rep"] for rec in payload[1:]] == ["mean", "min", "max"]
+    assert all(rec["status"] is None and rec["verified"] is None for rec in payload[1:])
+    assert payload[2]["M"] == payload[3]["M"] == first["M"]
 
 
 def test_bench_whc_and_usage(tmp_path, capsys):

@@ -449,7 +449,10 @@ def _walk_near_bound(M, mode, rng, dtype):
     verdicts = []
     for ell in range(1, I.d):
         step = prepare_step(state, I, ell, mode)
-        assert step.k.dtype == dtype
+        assert step.k.dtype == step.dk.dtype == dtype
+        # The step takes column ell from I.nonzeros: it must match the dense array.
+        assert step.k.tolist() == I.array[step.rows, ell].tolist()
+        assert step.dk.tolist() == I.array[step.moved, ell].tolist()
         nu = [int(v) for v in state.values]
         col = [int(k) for k in I.array[:, ell]]
         if mode == "integration":

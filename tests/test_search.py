@@ -23,16 +23,34 @@ from cbclat.search import (
 SQUARE = FrequencySet([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
+# The three drivers as (I, M, mode) -> CbcResult.
+DRIVERS = {
+    "construct": lambda I, M, mode: cbc_construct(I, CbcConfig(M=M, T=min(8, M), mode=mode,
+                                                               seed=5)),
+    "basic": lambda I, M, mode: cbc_construct_basic(I, M, mode, random.Random(5)),
+    "exhaustive": cbc_exhaustive,
+}
+
+
 def test_numpy_integer_config_size():
-    # An np.int64 M is stored as a Python int, so z[0] = 1 % M is one too.
+    # An np.int64 M leaves every driver as a Python int, so z[0] = 1 % M is one too.
     M = nextprime(2**32)
-    result = cbc_construct(gen_cube(3, 1), CbcConfig(M=np.int64(M), T=8, mode="reconstruction",
-                                                      seed=5))
-    assert result.success and type(result.M) is int and result.M == M
-    assert all(type(v) is int for v in result.z)
-    assert json.loads(json.dumps(list(result.z))) == list(result.z)
-    with pytest.raises(TypeError):
-        CbcConfig(M=7.0, T=1)
+    for name, drive in DRIVERS.items():
+        result = drive(gen_cube(3, 1), np.int64(M), "reconstruction")
+        assert result.success and type(result.M) is int and result.M == M, name
+        assert all(type(v) is int for v in result.z), name
+        assert json.loads(json.dumps(list(result.z))) == list(result.z)
+        with pytest.raises(TypeError):
+            drive(gen_cube(3, 1), 7.0, "reconstruction")
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_drivers_refuse_small_size_and_unknown_mode(driver):
+    # Each driver raises these from CbcConfig or the kernel; none checks them itself.
+    with pytest.raises(ValueError, match="need M >= 2"):
+        DRIVERS[driver](gen_cube(2, 1), 1, "reconstruction")
+    with pytest.raises(ValueError, match="unknown mode"):
+        DRIVERS[driver](gen_cube(2, 1), 7, "nope")
 
 
 def test_config_validation():
