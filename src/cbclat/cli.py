@@ -77,7 +77,7 @@ def _generate(family: str, d: int | None, N: int | None, threshold: int | None,
     if threshold is None:
         raise UsageError("whc needs --threshold")
     if dmax is None:
-        if gamma.kind != freqset.WeightSpec.INVERSE_SQUARE:
+        if gamma.gammas is not None:
             raise UsageError("explicit --gamma weights need --dmax")
         dmax = max(1, isqrt(threshold))
     return freqset.gen_weighted_hyperbolic(gamma, threshold, dmax)
@@ -200,7 +200,7 @@ def cmd_bench(args) -> int:
     if args.set == "whc":
         if not args.threshold:
             raise UsageError("whc bench needs --threshold")
-        jobs = [(f"whc-t{t}", dict(family="whc", d=args.dmax or max(1, isqrt(t)), N=None, threshold=t))
+        jobs = [(f"whc-t{t}", dict(family="whc", d=None, N=None, threshold=t))
                 for t in _parse_int_list(args.threshold, "--threshold")]
     elif args.d is None or args.N is None:
         raise UsageError(f"{args.set} bench needs --d and --N")
@@ -211,8 +211,9 @@ def cmd_bench(args) -> int:
     rows = []
     for exp_id, params in sorted(jobs, key=lambda job: job[0]):
         I = _generate(**params, gamma=gamma, dmax=args.dmax)
-        # Rows are typed and keyed in BENCH_COLUMNS order; the CSV formats them.
-        common = dict(experiment=exp_id, **params, gamma=args.gamma, mode=args.mode, K=args.K, T=args.T)
+        # Rows are typed, keyed in BENCH_COLUMNS order, with the set's d; the CSV formats them.
+        common = dict(experiment=exp_id, **(params | {"d": I.d}), gamma=args.gamma, mode=args.mode,
+                      K=args.K, T=args.T)
         sizes, times = [], []
         for rep in range(args.reps):
             rep_seed = seed0 + rep

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# Default guard against runaway enumerations, measured in items/cells as stated
-# by each generator. Every generator accepts an explicit override.
+# Guard against runaway enumerations, measured in items/cells as stated by each
+# generator and read at call time.
 SIZE_CAP = 10**8
 
 # Components are capped so that v + y*k for residues v, y < M stays in int64
@@ -25,11 +25,15 @@ _CHUNK_CELLS = 1 << 16  # components per chunk of format_set's text: bounds its 
 _POW10 = 10 ** np.arange(1, 10, dtype=np.int64)  # a component has 1 + #{p <= |v|} digits
 
 
-def _effective_cap(size_cap) -> int:
-    cap = SIZE_CAP if size_cap is None else int(size_cap)
-    if cap < 1:
-        raise ValueError("size cap must be positive")
-    return cap
+def _integers(values) -> np.ndarray | None:
+    """values as a new int64 array, or None unless numpy reads them as integers that fit int64."""
+    try:
+        arr = np.array(values)
+    except (ValueError, OverflowError):
+        return None
+    if arr.size and not (np.issubdtype(arr.dtype, np.integer) and np.can_cast(arr.dtype, np.int64)):
+        return None
+    return arr.astype(np.int64, copy=False)
 
 
 def _strictly_increasing(arr: np.ndarray) -> bool:
@@ -44,25 +48,20 @@ def _strictly_increasing(arr: np.ndarray) -> bool:
 
 
 class FrequencySet:
-    """Deduplicated, lexicographically sorted set of frequency vectors.
-
-    Wraps an immutable (n, d) int64 array whose rows are the frequencies.
-    """
+    """Deduplicated, lexicographically sorted set of frequency vectors: an
+    immutable (n, d) int64 array whose rows are the frequencies."""
 
     __slots__ = ("_arr", "_nonzeros", "_norms")
 
-    def __init__(self, rows, d: int | None = None):
-        try:
-            # A copy, so freezing it below never freezes the caller's buffer.
-            arr = np.array(rows, dtype=np.int64)
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"invalid frequency data: {exc}") from None
+    def __init__(self, rows):
+        # A copy, so freezing it below never freezes the caller's buffer.
+        arr = _integers(rows)
+        if arr is None:
+            raise ValueError("invalid frequency data: expected integer vectors within int64")
         if arr.ndim != 2:
             raise ValueError("expected a sequence of equal-length frequency vectors")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("frequency set must contain at least one frequency, d >= 1")
-        if d is not None and arr.shape[1] != d:
-            raise ValueError(f"expected dimension {d}, got {arr.shape[1]}")
         if np.any(arr > COMPONENT_LIMIT) or np.any(arr < -COMPONENT_LIMIT):
             raise ValueError(f"frequency components must satisfy |k_t| <= {COMPONENT_LIMIT}")
         if not _strictly_increasing(arr):
@@ -112,14 +111,12 @@ class FrequencySet:
         return self._arr.shape[0]
 
     def __iter__(self):
-        for row in self._arr:
-            yield tuple(int(v) for v in row)
+        return iter(self.items)
 
     def __contains__(self, k) -> bool:
-        target = np.asarray(k, dtype=np.int64)
-        if target.shape != (self.d,):
-            return False
-        return bool(np.any(np.all(self._arr == target, axis=1)))
+        target = _integers(k)  # a float, string or wrong-length vector is no member
+        ok = target is not None and target.shape == (self.d,)
+        return ok and bool(np.any(np.all(self._arr == target, axis=1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FrequencySet):
@@ -132,60 +129,48 @@ class FrequencySet:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Product weights gamma_j for the weighted hyperbolic cross.
+    """Product weights gamma_j for the weighted hyperbolic cross: gammas is None for
+    the builtin gamma_j = j^-2, else explicit positive, non-increasing rationals."""
 
-    kind is either "inverse-square-builtin" (gamma_j = j^-2) or
-    "explicit-list" with positive, non-increasing rationals.
-    """
-
-    kind: str
     gammas: tuple[Fraction, ...] | None = None
 
-    INVERSE_SQUARE = "inverse-square-builtin"
-    EXPLICIT = "explicit-list"
-
     def __post_init__(self):
-        if self.kind == self.INVERSE_SQUARE:
-            if self.gammas is not None:
-                raise ValueError("builtin weights take no gamma list")
-        elif self.kind == self.EXPLICIT:
-            if not self.gammas:
-                raise ValueError("explicit weights need a non-empty gamma list")
-            prev = None
-            for g in self.gammas:
-                if g <= 0:
-                    raise ValueError("gamma_j must be positive")
-                if prev is not None and g > prev:
-                    raise ValueError("gamma_j must be non-increasing")
-                prev = g
-        else:
-            raise ValueError(f"unknown weight kind: {self.kind!r}")
+        if self.gammas is None:
+            return
+        gammas = tuple(Fraction(g) for g in self.gammas)
+        object.__setattr__(self, "gammas", gammas)  # so WeightSpec(...) and explicit() agree
+        if not gammas:
+            raise ValueError("explicit weights need a non-empty gamma list")
+        if min(gammas) <= 0:
+            raise ValueError("gamma_j must be positive")
+        if any(a < b for a, b in zip(gammas, gammas[1:])):
+            raise ValueError("gamma_j must be non-increasing")
 
     @classmethod
     def inverse_square(cls) -> "WeightSpec":
-        return cls(cls.INVERSE_SQUARE)
+        return cls()
 
     @classmethod
     def explicit(cls, gammas) -> "WeightSpec":
-        return cls(cls.EXPLICIT, tuple(Fraction(g) for g in gammas))
+        return cls(tuple(gammas))
 
     def gamma(self, j: int) -> Fraction:
         """Weight of coordinate j (1-based)."""
         if j < 1:
             raise ValueError("coordinate index is 1-based")
-        if self.kind == self.INVERSE_SQUARE:
+        if self.gammas is None:
             return Fraction(1, j * j)
         if j > len(self.gammas):
             raise ValueError(f"explicit weights cover only {len(self.gammas)} coordinates")
         return self.gammas[j - 1]
 
 
-def gen_cube(d: int, N: int, size_cap=None) -> FrequencySet:
+def gen_cube(d: int, N: int) -> FrequencySet:
     """Full cube [-N, N]^d."""
     if d < 1 or N < 0:
         raise ValueError("need d >= 1, N >= 0")
     side = 2 * N + 1
-    if d * side**d > _effective_cap(size_cap):
+    if d * side**d > SIZE_CAP:
         raise ValueError(f"gen_cube(d={d}, N={N}) exceeds the size cap")
     grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - N
     # np.indices varies the first coordinate slowest, so rows come out in
@@ -204,23 +189,23 @@ def _axis_rows(D: int, N: int) -> np.ndarray:
     return rows
 
 
-def gen_axis_cross(d: int, N: int, size_cap=None) -> FrequencySet:
+def gen_axis_cross(d: int, N: int) -> FrequencySet:
     """Axis cross: at most one nonzero component, of magnitude <= N."""
     if d < 1 or N < 0:
         raise ValueError("need d >= 1, N >= 0")
-    if 2 * d * N + 1 > _effective_cap(size_cap):
+    if 2 * d * N + 1 > SIZE_CAP:
         raise ValueError(f"gen_axis_cross(d={d}, N={N}) exceeds the size cap")
     return FrequencySet(_axis_rows(d, N))
 
 
-def gen_superposition2(d: int, N: int, size_cap=None) -> FrequencySet:
+def gen_superposition2(d: int, N: int) -> FrequencySet:
     """All k in [-N, N]^d with at most two nonzero components."""
     if d < 2:
         raise ValueError("superposition family needs d >= 2")
     if N < 0:
         raise ValueError("need N >= 0")
     n = 2 * N * d * (1 + (d - 1) * N) + 1
-    if n > _effective_cap(size_cap):
+    if n > SIZE_CAP:
         raise ValueError(f"gen_superposition2(d={d}, N={N}) exceeds the size cap")
     # Natural order: a row whose first nonzero component is k_s < 0 comes
     # before every row with k_s = 0, and is followed by an axis cross in the
@@ -242,7 +227,7 @@ def gen_superposition2(d: int, N: int, size_cap=None) -> FrequencySet:
     return FrequencySet(rows)
 
 
-def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=None) -> FrequencySet:
+def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> FrequencySet:
     """Weighted hyperbolic cross {k : prod_j max(1, |k_j|/gamma_j) <= threshold}.
 
     The set is enumerated over the first dmax coordinates and returned as a
@@ -257,7 +242,6 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=
         raise ValueError("threshold < 1 would produce an empty set")
     if dmax < 1:
         raise ValueError("need dmax >= 1")
-    cap = _effective_cap(size_cap)
     gammas = [weights.gamma(j) for j in range(1, dmax + 1)]
 
     rows: list[tuple[int, ...]] = []
@@ -268,7 +252,7 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=
         bound = int(budget * gammas[j]) if j < dmax else 0
         if bound == 0:
             rows.append(tuple(buf))
-            if len(rows) > cap:
+            if len(rows) > SIZE_CAP:
                 raise ValueError("gen_weighted_hyperbolic exceeds the size cap")
             return
         for k in range(-bound, bound + 1):
@@ -280,10 +264,10 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int, size_cap=
     return FrequencySet(rows)
 
 
-def difference_set(I: FrequencySet, size_cap=None) -> FrequencySet:
+def difference_set(I: FrequencySet) -> FrequencySet:
     """D(I) = {h - k : h, k in I}; contains 0 and is closed under negation."""
     n = len(I)
-    if n * n > _effective_cap(size_cap):
+    if n * n > SIZE_CAP:
         raise ValueError("difference_set exceeds the size cap")
     arr = I.array
     diffs = (arr[:, None, :] - arr[None, :, :]).reshape(n * n, I.d)
@@ -292,14 +276,12 @@ def difference_set(I: FrequencySet, size_cap=None) -> FrequencySet:
 
 def expansion(I: FrequencySet) -> int:
     """N_I: the largest per-coordinate spread max k_t - min k_t."""
-    arr = I.array
-    return int(np.max(arr.max(axis=0) - arr.min(axis=0)))
+    return int(np.ptp(I.array, axis=0).max())
 
 
 def max_abs(I: FrequencySet) -> int:
     """max over k in I of the max-norm of k; 0 iff I = {0}."""
-    arr = I.array
-    return int(max(arr.max(), -arr.min(), 0))
+    return int(np.abs(I.array).max())  # |k_t| <= COMPONENT_LIMIT: no int64 overflow
 
 
 def _chunk_text(block: np.ndarray) -> str:

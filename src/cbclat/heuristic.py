@@ -48,8 +48,11 @@ class SearchOutcome:
 
 def verifier(mode: str):
     """The direct verifier of mode's property, as verifier(mode)(lat, I)."""
-    return (lattice.verify_integration if mode == MODE_INTEGRATION
-            else lattice.verify_reconstruction)
+    if mode == MODE_INTEGRATION:
+        return lattice.verify_integration
+    if mode == MODE_RECONSTRUCTION:
+        return lattice.verify_reconstruction
+    raise ValueError(f"unknown mode: {mode!r}")
 
 
 def initial_size(I: FrequencySet, mode: str) -> int:

@@ -134,8 +134,32 @@ def test_construction_rejects_empty_and_ragged():
         FrequencySet([])
     with pytest.raises(ValueError):
         FrequencySet([(1, 2), (3,)])
-    with pytest.raises(ValueError):
-        FrequencySet([(1, 2)], d=3)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.5, 2), (0.2, 0)],  # was truncated to [(0, 0), (1, 2)]
+    [(1, 2), (3, 4.0)],  # one float makes the whole array float
+    np.array([[1.0, 2.0]]),
+    [(True, False)],
+    np.array([[True, False]]),
+    [("1", "2")],
+    [("x", 0)],
+    [(2**63, 0)],  # past int64: numpy reads it as uint64
+    [(2**80, 0)],
+    [(-2**63 - 1, 0)],
+], ids=["floats", "one-float", "float-array", "bools", "bool-array", "digit-strings",
+        "strings", "uint64", "huge", "below-int64"])
+def test_construction_rejects_non_integers(rows):
+    with pytest.raises(ValueError, match="invalid frequency data"):
+        FrequencySet(rows)
+
+
+def test_construction_accepts_narrow_integer_arrays():
+    for dtype in (np.int8, np.int32, np.uint8, np.uint32):
+        I = FrequencySet(np.array([[2, 1], [0, 3]], dtype=dtype))
+        assert I.array.dtype == np.int64 and I.items == [(0, 3), (2, 1)]
+    with pytest.raises(ValueError, match="at least one frequency"):
+        FrequencySet(np.zeros((0, 2), dtype=np.float64))  # empty keeps its own message
 
 
 def test_component_limit():
@@ -159,6 +183,13 @@ def test_membership_and_equality():
     I = FrequencySet([(0, 0), (1, 2)])
     assert (1, 2) in I
     assert (2, 1) not in I
+    assert np.array([1, 2], dtype=np.int32) in I
+    for k in [(1.5, 2), (1.0, 2), ("x", 0), ("1", "2"), (2**80, 0), (1, 2, 0), (1,),
+              ((1, 2), (0, 0)), 1, "12"]:
+        assert k not in I, k
+    cross = gen_axis_cross(2, 1)
+    assert (1, 0) in cross and (1.5, 0) not in cross and (0.5, 0) not in cross
+    assert (True, False) not in cross
     assert I == FrequencySet([(1, 2), (0, 0)])
     assert I != FrequencySet([(1, 2)])
 
@@ -253,16 +284,18 @@ def test_hyperbolic_explicit_weights():
     (WeightSpec.inverse_square(), 10, 12),
     (WeightSpec.explicit([1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]), 6, 5),
 ], ids=["inverse-square", "tied-explicit"])
-def test_hyperbolic_pruned_descent_matches_bruteforce(weights, threshold, dmax):
+def test_hyperbolic_pruned_descent_matches_bruteforce(weights, threshold, dmax, monkeypatch):
     # dmax runs well past the last coordinate with a nonzero bound (j^-2), or
     # the tied weights make the bound reach 0 at different depths per branch.
     got = gen_weighted_hyperbolic(weights, threshold, dmax)
     assert got.items == whc_oracle(weights.gamma, threshold, dmax)
     # The cap counts the same rows as the unpruned enumeration did.
     n = len(got)
-    assert gen_weighted_hyperbolic(weights, threshold, dmax, size_cap=n) == got
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", n)
+    assert gen_weighted_hyperbolic(weights, threshold, dmax) == got
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", n - 1)
     with pytest.raises(ValueError, match="size cap"):
-        gen_weighted_hyperbolic(weights, threshold, dmax, size_cap=n - 1)
+        gen_weighted_hyperbolic(weights, threshold, dmax)
 
 
 def test_hyperbolic_rejects_bad_inputs():
@@ -285,6 +318,17 @@ def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec("no-such-kind")
     assert WeightSpec.inverse_square().gamma(3) == Fraction(1, 9)
+    assert WeightSpec.inverse_square() == WeightSpec() and WeightSpec().gammas is None
+    # The constructor and explicit() both hold the weights as a tuple of Fractions.
+    w = WeightSpec((1, 0.5, "1/4"))
+    assert w == WeightSpec.explicit([1, Fraction(1, 2), Fraction(1, 4)])
+    assert w.gammas == (1, Fraction(1, 2), Fraction(1, 4))
+    assert all(type(g) is Fraction for g in w.gammas)
+    assert w.gamma(2) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="cover only 3"):
+        w.gamma(4)
+    with pytest.raises(ValueError, match="1-based"):
+        w.gamma(0)
 
 
 # --- difference sets ------------------------------------------------------
@@ -343,17 +387,30 @@ def test_expansion_at_most_twice_max_abs():
 
 # --- size caps -------------------------------------------------------------
 
-def test_size_caps():
+def test_size_caps(monkeypatch):
+    # Each guard reads freqset.SIZE_CAP at call time.
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", 100)
     with pytest.raises(ValueError):
-        gen_cube(2, 8, size_cap=100)
+        gen_cube(2, 8)
     with pytest.raises(ValueError):
-        gen_axis_cross(3, 10, size_cap=10)
+        gen_weighted_hyperbolic(WeightSpec.inverse_square(), 100, 10)
     with pytest.raises(ValueError):
-        gen_superposition2(3, 3, size_cap=10)
+        difference_set(gen_cube(2, 2))
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", 10)
     with pytest.raises(ValueError):
-        gen_weighted_hyperbolic(WeightSpec.inverse_square(), 100, 10, size_cap=100)
+        gen_axis_cross(3, 10)
     with pytest.raises(ValueError):
-        difference_set(gen_cube(2, 2), size_cap=100)
+        gen_superposition2(3, 3)
+    # A cap of exactly the stated count passes; one less raises.
+    I = gen_cube(1, 1)
+    for make, n in [(lambda: gen_cube(2, 2), 2 * 5**2), (lambda: gen_axis_cross(3, 2), 13),
+                    (lambda: gen_superposition2(3, 1), 19), (lambda: difference_set(I), 9)]:
+        monkeypatch.setattr(freqset_mod, "SIZE_CAP", n)
+        make()
+        monkeypatch.setattr(freqset_mod, "SIZE_CAP", n - 1)
+        with pytest.raises(ValueError, match="size cap"):
+            make()
+    monkeypatch.undo()
     # default cap refuses the absurd without enumerating it
     with pytest.raises(ValueError):
         gen_cube(12, 8)

@@ -204,6 +204,13 @@ def test_parameter_validation():
         heuristic_search(I, T=0)
 
 
+def test_verifier_by_mode():
+    assert heuristic_mod.verifier("integration") is verify_integration
+    assert heuristic_mod.verifier("reconstruction") is verify_reconstruction
+    with pytest.raises(ValueError, match="unknown mode"):
+        heuristic_mod.verifier("integraton")
+
+
 def test_budget_clamped_to_small_sizes():
     # T = 100 exceeds the candidate space once M drops below 100; the search
     # must clamp rather than reject.

@@ -276,6 +276,9 @@ def test_poly_validation_and_json():
     scrambled = {"support": [[1, 0], [0, 1]], "coeffs": [[3.0, -4.0], [1.0, 2.0]]}
     q2 = TrigPolynomial.from_dict(scrambled)
     assert np.array_equal(q2.coeffs, p.coeffs)
+    # a non-integer frequency is refused, not truncated to (0, 1)
+    with pytest.raises(ValueError, match="invalid frequency data"):
+        TrigPolynomial.from_dict({"support": [[0.5, 1]], "coeffs": [[1, 0]]})
 
 
 def test_eval_on_lattice_matches_pointwise():
