@@ -7,6 +7,7 @@ which the incremental residue bookkeeping downstream relies on.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,10 @@ SIZE_CAP = 10**8
 COMPONENT_LIMIT = 2**31 - 1
 
 _CHUNK_CELLS = 1 << 16  # components per chunk of format_set's text: bounds its memory
-_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)  # a component has 1 + #{p <= |v|} digits
+_CHUNK_BYTES = 1 << 17  # bytes of whole lines per chunk of read_set's parse: bounds its memory
+# 10..10^17: a parsed digit at place p weighs 10^p; a written component
+# (|v| < 10^10) has 1 + #{p <= |v|} digits, counted against 10..10^9 alone.
+_POW10 = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
 def _integers(values) -> np.ndarray | None:
@@ -114,8 +118,9 @@ class FrequencySet:
         return iter(self.items)
 
     def __contains__(self, k) -> bool:
-        target = _integers(k)  # a float, string or wrong-length vector is no member
+        target = _integers(k)  # a float, string, bool or wrong-length vector is no member
         ok = target is not None and target.shape == (self.d,)
+        ok = ok and not any(isinstance(v, (bool, np.bool_)) for v in k)  # numpy reads True as 1
         return ok and bool(np.any(np.all(self._arr == target, axis=1)))
 
     def __eq__(self, other) -> bool:
@@ -137,6 +142,9 @@ class WeightSpec:
     def __post_init__(self):
         if self.gammas is None:
             return
+        if isinstance(self.gammas, (str, bytes)):
+            kind = type(self.gammas).__name__
+            raise ValueError(f"gammas must be a sequence of weights, not {kind}")
         gammas = tuple(Fraction(g) for g in self.gammas)
         object.__setattr__(self, "gammas", gammas)  # so WeightSpec(...) and explicit() agree
         if not gammas:
@@ -290,7 +298,7 @@ def _chunk_text(block: np.ndarray) -> str:
     flat = block.ravel()
     neg = flat < 0
     mag = np.abs(flat).astype(np.int32)  # |v| <= COMPONENT_LIMIT < 2^31
-    digits = np.searchsorted(_POW10, mag, side="right") + 1
+    digits = np.searchsorted(_POW10[:9], mag, side="right") + 1
     last = np.cumsum(digits + neg + 1) - 2  # each component's last digit
     buf = np.empty(int(last[-1]) + 2, dtype=np.uint8)
     buf[last + 1] = ord(" ")
@@ -323,30 +331,102 @@ def write_set(I: FrequencySet, path) -> None:
         fh.writelines(format_set(I))
 
 
-def read_set(path) -> FrequencySet:
-    """Parse the text format written by write_set.
+def _chunk_rows(chunk: bytes, out: np.ndarray) -> int | None:
+    """Parse chunk, whole lines of write_set's layout, into the first rows of
+    out and return how many; None if it is not that layout. Every byte is
+    checked once: the separators (all bytes below '-') as one space between
+    components and a newline after every d-th, each component's last byte as a
+    digit, and the bytes before it, right to left, as digits up to a separator
+    or to a '-' that follows one."""
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    seps = np.flatnonzero(b < ord("-"))
+    kinds = b[seps]
+    if b[-1] != ord("\n") or kinds.size % out.shape[1]:
+        return None
+    kinds = kinds.reshape(-1, out.shape[1])
+    if np.any(kinds[:, -1] != ord("\n")) or np.any(kinds[:, :-1] != ord(" ")):
+        return None
+    flat = out[:kinds.shape[0]].reshape(-1)
+    flat[:] = b[seps - 1]
+    flat -= ord("0")
+    if flat.min() < 0 or flat.max() > 9:
+        return None  # an empty component, or one that does not end in a digit
+    minus = b"-" in chunk
+    idx = np.flatnonzero(b[seps - 2] >= ord("-"))  # b[-1], a newline, ends component 0
+    pos, p = seps[idx] - 2, 1
+    while idx.size:  # right to left, each pass over the components with characters left
+        c = b[pos]
+        if minus and (neg := c == ord("-")).any():
+            if np.any(b[pos[neg] - 1] >= ord("-")):
+                return None  # a '-' inside a component
+            flat[idx[neg]] *= -1
+        more = c > ord("-")
+        if not more.all():
+            idx, pos, c = idx[more], pos[more], c[more]
+        digit = c - ord("0")
+        if digit.size and (p == 18 or digit.max() > 9):
+            return None  # more than 18 digits, which may not fit int64, or not a digit
+        # times a 1-element array, so the product is int64 under numpy 1 casting too
+        flat[idx] += _POW10[p - 1:p] * digit
+        pos -= 1
+        p += 1
+    return kinds.shape[0]
 
-    Lines starting with '#' and blank lines are ignored; the dimension is
-    inferred from the first data line and every later line must match it.
-    numpy's C parser reads the kept lines first; where it fails (it also rejects
-    1_000, non-ASCII digits, values past int64) an int() rescan names the first bad line.
-    """
+
+def _read_layout(fh) -> np.ndarray | None:
+    """The rows of the binary file fh if its bytes are write_set's layout
+    (components -?[0-9]+ of at most 18 digits, one space between them, a newline
+    after every line), else None. Chunks of whole lines of about _CHUNK_BYTES
+    are parsed into one preallocated (lines, d) int64 array, so the memory
+    beyond that array stays bounded whatever the number of lines."""
+    d = fh.readline().count(b" ") + 1
+    fh.seek(0)
+    lines = sum(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+                for block in iter(lambda: fh.read(_CHUNK_BYTES), b""))
+    if not lines or 2 * lines * d > fh.tell():  # each component takes at least 2 bytes
+        return None
+    fh.seek(0)
+    out = np.empty((lines, d), dtype=np.int64)
+    row = 0
+    while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
+        done = _chunk_rows(chunk, out[row:])
+        if done is None:
+            return None
+        row += done
+    return out
+
+
+def _read_by_lines(path) -> np.ndarray | list[list[int]]:
+    """The rows of a set file by the line rules: lines that are blank or start
+    with '#' are skipped, components are the whitespace-separated tokens of the
+    rest, and every line needs as many as the first. The kept lines, rejoined in
+    write_set's layout, go through the byte parse; where it refuses them (+5,
+    1_000, non-ASCII digits, more than 18 digits) an int() rescan reads them
+    or names the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         data = [(lineno, s) for lineno, s in enumerate((line.strip() for line in fh), start=1)
                 if s and not s.startswith("#")]
     if not data:
         raise ValueError(f"{path}: no frequencies found")
-    try:
-        rows = np.loadtxt([s for _, s in data], dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        rows = []
-        for lineno, stripped in data:
-            try:
-                row = [int(p) for p in stripped.split()]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed frequency line {stripped!r}") from None
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} components, "
-                                 f"got {len(row)}")
-            rows.append(row)
-    return FrequencySet(rows)
+    rows = _read_layout(io.BytesIO("".join(" ".join(s.split()) + "\n" for _, s in data).encode()))
+    if rows is not None:
+        return rows
+    rows = []
+    for lineno, stripped in data:
+        try:
+            row = [int(p) for p in stripped.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed frequency line {stripped!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
+        rows.append(row)
+    return rows
+
+
+def read_set(path) -> FrequencySet:
+    """Read a set file: one frequency per line, integer components. write_set's
+    own layout is parsed as bytes in a few numpy passes per chunk of lines, with
+    no Python step per line or component; any other text by _read_by_lines."""
+    with open(path, "rb") as fh:
+        rows = _read_layout(fh)
+    return FrequencySet(_read_by_lines(path) if rows is None else rows)

@@ -145,6 +145,8 @@ class TrigPolynomial:
     @classmethod
     def from_dict(cls, obj: dict) -> "TrigPolynomial":
         support = FrequencySet(obj["support"])
+        if any(isinstance(v, bool) for row in obj["support"] for v in row):
+            raise ValueError("invalid frequency data: true and false are not integers")
         pairs = obj["coeffs"]
         if len(pairs) != len(support):
             raise ValueError("coefficient count disagrees with support size")

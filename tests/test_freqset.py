@@ -1,5 +1,6 @@
 """Frequency-set model, generators, difference sets, and file round-trips."""
 
+import io
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -190,6 +191,10 @@ def test_membership_and_equality():
     cross = gen_axis_cross(2, 1)
     assert (1, 0) in cross and (1.5, 0) not in cross and (0.5, 0) not in cross
     assert (True, False) not in cross
+    # A bool among integers is no member either, though numpy reads True as 1.
+    for k in [(True, 2), (1, np.True_), [True, 2]]:
+        assert k not in I, k
+    assert (1, 0) in cross and (True, 0) not in cross
     assert I == FrequencySet([(1, 2), (0, 0)])
     assert I != FrequencySet([(1, 2)])
 
@@ -317,6 +322,10 @@ def test_weight_spec_validation():
         WeightSpec.explicit([1, 0])
     with pytest.raises(ValueError):
         WeightSpec("no-such-kind")
+    # A string is not read character by character as weights.
+    for text in ["21", "1/2", b"21"]:
+        with pytest.raises(ValueError, match=f"not {type(text).__name__}"):
+            WeightSpec(text)
     assert WeightSpec.inverse_square().gamma(3) == Fraction(1, 9)
     assert WeightSpec.inverse_square() == WeightSpec() and WeightSpec().gammas is None
     # The constructor and explicit() both hold the weights as a tuple of Fractions.
@@ -577,6 +586,113 @@ def test_format_set_matches_per_element_writer(tmp_path_factory, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freqset_mod, "_CHUNK_CELLS", cap)
         assert "".join(freqset_mod.format_set(I)).encode("ascii") == path.read_bytes()
+
+
+def _layout_rows(data: bytes):
+    """The byte parse alone: write_set's layout as an array, else None."""
+    return freqset_mod._read_layout(io.BytesIO(data))
+
+
+@st.composite
+def _read_chunking(draw):
+    """A set, and a read chunk of 1 byte, one line, a size that cuts a line, or the default."""
+    I, _ = draw(_formatted_set())
+    line = "".join(freqset_mod.format_set(I)).index("\n") + 1
+    size = draw(st.sampled_from([1, line, max(1, line // 2), line + 1,
+                                 freqset_mod._CHUNK_BYTES]))
+    return I, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_read_chunking())
+@example((FrequencySet([(COMPONENT_LIMIT,), (-COMPONENT_LIMIT,), (0,), (9,), (-10,)]), 1))
+@example((FrequencySet([(-1, -10, -100), (-9, -99, -999)]), 7))
+@example((gen_superposition2(4, 1), 5))
+def test_read_set_round_trips_through_the_byte_parse(tmp_path_factory, case):
+    I, size = case
+    path = tmp_path_factory.mktemp("rdb") / "set.txt"
+    write_set(I, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freqset_mod, "_CHUNK_BYTES", size)
+        assert np.array_equal(_layout_rows(path.read_bytes()), I.array)
+        assert read_set(path) == I
+
+
+# Inputs outside write_set's layout: the byte parse refuses each, and read_set
+# reads it by the line rules and the int() rescan.
+_REFUSED = {
+    "double-space": b"1  2\n3 4\n",
+    "leading-space": b" 1 2\n3 4\n",
+    "trailing-space": b"1 2 \n3 4\n",
+    "tab": b"1\t2\n3 4\n",
+    "crlf": b"1 2\r\n3 4\r\n",
+    "no-final-newline": b"1 2\n3 4",
+    "blank-line": b"1 2\n\n3 4\n",
+    "comment": b"# c\n1 2\n",
+    "plus": b"+1 2\n3 4\n",
+    "inner-minus": b"1-2 3\n4 5\n",
+    "double-minus": b"--1 2\n3 4\n",
+    "lone-minus": b"- 2\n3 4\n",
+    "trailing-minus": b"1 2-\n3 4\n",
+    "short-last-lines": b"10 20\n30 40\n50\n60\n",
+    "long-last-line": b"10 20\n30 40\n5 6 7\n",
+    "short-first-line": b"1\n2 3\n",
+    "19-digits": b"1 2\n" + b"1" * 19 + b" 3\n",
+    "2**63": b"1 2\n%d 3\n" % 2**63,
+    "-2**63-1": b"1 2\n%d 3\n" % (-2**63 - 1),
+    "slash": b"1 2\n3 /\n",
+    "colon": b"1 2\n3 :\n",
+    "non-ascii-digit": "1 2\n3 \u0663\n".encode(),
+    "empty": b"",
+    "newline-only": b"\n",
+}
+# The longest components the byte parse still reads: 18 digits, with or without a sign.
+_ACCEPTED = {
+    "18-digits": (b"%d 1\n" % (10**18 - 1), [[10**18 - 1, 1]]),
+    "minus-18-digits": (b"%d 1\n" % -(10**18 - 1), [[-(10**18 - 1), 1]]),
+    "minus-17-digits": (b"1 %d\n" % -(10**17 - 7), [[1, -(10**17 - 7)]]),
+    "leading-zeros": (b"007 -0\n-00 0012\n", [[7, 0], [0, 12]]),
+}
+
+
+@pytest.mark.parametrize("size", [1, 4, 1 << 17])
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_byte_parse_refuses_other_text(tmp_path, monkeypatch, name, size):
+    monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", size)
+    data = _REFUSED[name]
+    assert _layout_rows(data) is None
+    path = tmp_path / "set.txt"
+    path.write_bytes(data)
+    assert _read_or_error(path) == _read_by_int(path)
+
+
+@pytest.mark.parametrize("size", [1, 4, 1 << 17])
+@pytest.mark.parametrize("name", sorted(_ACCEPTED))
+def test_byte_parse_reads_the_longest_components(tmp_path, monkeypatch, name, size):
+    monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", size)
+    data, rows = _ACCEPTED[name]
+    assert _layout_rows(data).tolist() == rows
+    path = tmp_path / "set.txt"
+    path.write_bytes(data)
+    assert _read_or_error(path) == _read_by_int(path)
+
+
+def test_read_set_memory_stays_within_a_chunk(tmp_path):
+    # Beyond the (lines, d) output, one chunk's temporaries: 1.6 MB here in
+    # tracemalloc. Parsing the chunks into arrays of their own and joining them
+    # would hold a second copy of the output (6.4 MB).
+    path = tmp_path / "set.txt"
+    write_set(gen_cube(5, 5), path)
+    assert path.stat().st_size > 8 * freqset_mod._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            rows = freqset_mod._read_layout(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (11**5, 5)
+    assert peak < rows.nbytes + 3_000_000
 
 
 def _read_by_int(path):

@@ -279,6 +279,10 @@ def test_poly_validation_and_json():
     # a non-integer frequency is refused, not truncated to (0, 1)
     with pytest.raises(ValueError, match="invalid frequency data"):
         TrigPolynomial.from_dict({"support": [[0.5, 1]], "coeffs": [[1, 0]]})
+    # JSON true/false is refused, not read as 1/0
+    for support in ([[True, 1]], [[0, 1], [1, False]]):
+        with pytest.raises(ValueError, match="true and false are not integers"):
+            TrigPolynomial.from_dict({"support": support, "coeffs": [[1, 0]] * len(support)})
 
 
 def test_eval_on_lattice_matches_pointwise():
