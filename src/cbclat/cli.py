@@ -197,6 +197,8 @@ def cmd_bench(args) -> int:
         raise UsageError("--reps must be >= 0")
     gamma = _parse_gamma(args.gamma)
     seed0 = _seed_or_entropy(args.seed)
+    if seed0 + args.reps > 2**64:  # rep r runs seed0 + r, which search must accept too
+        raise UsageError("--seed + --reps - 1 must be a 64-bit unsigned integer")
     if args.set == "whc":
         if not args.threshold:
             raise UsageError("whc bench needs --threshold")

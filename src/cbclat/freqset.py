@@ -373,46 +373,35 @@ def _chunk_rows(chunk: bytes, out: np.ndarray) -> int | None:
     return kinds.shape[0]
 
 
-def _read_layout(fh) -> np.ndarray | None:
-    """The rows of the binary file fh if its bytes are write_set's layout
-    (components -?[0-9]+ of at most 18 digits, one space between them, a newline
-    after every line), else None. Chunks of whole lines of about _CHUNK_BYTES
-    are parsed into one preallocated (lines, d) int64 array, so the memory
-    beyond that array stays bounded whatever the number of lines."""
-    d = fh.readline().count(b" ") + 1
-    fh.seek(0)
-    lines = sum(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-                for block in iter(lambda: fh.read(_CHUNK_BYTES), b""))
-    if not lines or 2 * lines * d > fh.tell():  # each component takes at least 2 bytes
+def _read_layout(data: bytes) -> np.ndarray | None:
+    """data's rows if it is write_set's layout (components -?[0-9]+ of at most
+    18 digits, one space between them, a newline after every line), else None.
+    Chunks of whole lines of about _CHUNK_BYTES fill one preallocated (lines, d)
+    int64 array, so the memory beyond data and that array stays bounded."""
+    lines = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    d = data.count(b" ", 0, data.find(b"\n")) + 1
+    if not lines or 2 * lines * d > len(data):  # each component takes at least 2 bytes
         return None
-    fh.seek(0)
     out = np.empty((lines, d), dtype=np.int64)
-    row = 0
-    while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
-        done = _chunk_rows(chunk, out[row:])
+    row = start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK_BYTES - 1) + 1 or len(data)
+        done = _chunk_rows(data[start:end], out[row:])
         if done is None:
             return None
-        row += done
+        row, start = row + done, end
     return out
 
 
-def _read_by_lines(path) -> np.ndarray | list[list[int]]:
-    """The rows of a set file by the line rules: lines that are blank or start
-    with '#' are skipped, components are the whitespace-separated tokens of the
-    rest, and every line needs as many as the first. The kept lines, rejoined in
-    write_set's layout, go through the byte parse; where it refuses them (+5,
-    1_000, non-ASCII digits, more than 18 digits) an int() rescan reads them
-    or names the first bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = [(lineno, s) for lineno, s in enumerate((line.strip() for line in fh), start=1)
-                if s and not s.startswith("#")]
-    if not data:
-        raise ValueError(f"{path}: no frequencies found")
-    rows = _read_layout(io.BytesIO("".join(" ".join(s.split()) + "\n" for _, s in data).encode()))
-    if rows is not None:
-        return rows
+def _read_by_lines(text: str, path) -> list[list[int]]:
+    """text's rows by the line rules of text mode (universal newlines): blank
+    and '#' lines are skipped, the rest split on whitespace into int()
+    components, as many as the first line's; an error names the first bad line."""
     rows = []
-    for lineno, stripped in data:
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
         try:
             row = [int(p) for p in stripped.split()]
         except ValueError:
@@ -420,13 +409,19 @@ def _read_by_lines(path) -> np.ndarray | list[list[int]]:
         if rows and len(row) != len(rows[0]):
             raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
         rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no frequencies found")
     return rows
 
 
 def read_set(path) -> FrequencySet:
-    """Read a set file: one frequency per line, integer components. write_set's
-    own layout is parsed as bytes in a few numpy passes per chunk of lines, with
-    no Python step per line or component; any other text by _read_by_lines."""
+    """Read a set file or stream (a pipe too) in one pass: write_set's own
+    layout by numpy byte passes per chunk of lines, with no Python step per
+    line or component; any other text by _read_by_lines."""
     with open(path, "rb") as fh:
-        rows = _read_layout(fh)
-    return FrequencySet(_read_by_lines(path) if rows is None else rows)
+        data = fh.read()
+    rows = _read_layout(data)
+    if rows is None:
+        rows = _read_by_lines(data.decode("utf-8"), path)
+    del data  # before FrequencySet copies the rows, which sets the peak
+    return FrequencySet(rows)

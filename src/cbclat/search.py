@@ -108,13 +108,14 @@ def cbc_construct(I: FrequencySet, cfg: CbcConfig, rng: random.Random | None = N
     Exhausting the budget at any step is an ordinary failed result, not an
     exception; the halving heuristic consumes such failures routinely.
     """
+    seed = None  # cfg.seed names the stream only when it seeds it
     if rng is None:
-        rng = random.Random(cfg.seed)
+        rng, seed = random.Random(cfg.seed), cfg.seed
     # islice never asks for entry T+1, so a step draws once per candidate it
     # tests. The generator is looked up at call time, so a wrapper installed
     # on the module attribute sees every step.
     steps = lambda: itertools.islice(two_step_permutation(cfg.M, rng), cfg.T)
-    return _drive(I, cfg.M, cfg.mode, steps, cfg.seed)
+    return _drive(I, cfg.M, cfg.mode, steps, seed)
 
 
 def cbc_construct_basic(I: FrequencySet, M: int, mode: str,

@@ -438,6 +438,14 @@ def test_usage_errors_exit1(tmp_path, capsys):
     assert main(["bench", "--set", "cube", "--d", "1", "--N", "1", "--reps", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and "--reps" in captured.err
+    # the last rep's seed, 2^64, is one that search refuses
+    assert main(["bench", "--set", "axiscross", "--d", "2", "--N", "2", "--reps", "2",
+                 "--seed", str(2**64 - 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "--seed" in captured.err
+    assert main(["bench", "--set", "axiscross", "--d", "2", "--N", "2", "--reps", "1",
+                 "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
 
 
 def test_bad_seed_exit1(tmp_path, capsys):
@@ -471,13 +479,14 @@ def test_readme_commands(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def run_checkout(cmd):
+def run_checkout(cmd, stdin=None):
     """Run `cmd` with the `cbclat` package that this test session imported
-    first on PYTHONPATH, so the child never picks up another copy."""
+    first on PYTHONPATH, so the child never picks up another copy; stdin, if
+    given, is written to the child's standard input, a pipe."""
     env = dict(os.environ)
     src = str(Path(cbclat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, input=stdin)
 
 
 def test_console_script_installed():
@@ -508,3 +517,25 @@ def test_module_entry_point():
                          "axiscross", "--d", "2", "--N", "0"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 0"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_search_reads_a_piped_set(tmp_path):
+    # `cbclat gen ... | cbclat search /dev/stdin`: a pipe cannot seek or be
+    # reopened, so read_set must take its input in one read.
+    cbclat_cmd = [sys.executable, "-m", "cbclat.cli"]
+    gen = run_checkout(cbclat_cmd + ["gen", "--set", "axiscross", "--d", "3", "--N", "4"])
+    assert gen.returncode == 0
+    setfile = tmp_path / "set.txt"
+    setfile.write_text(gen.stdout)
+
+    def search(path, stdin=None):
+        proc = run_checkout(cbclat_cmd + ["search", path, "--seed", "1"], stdin)
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        return dict(obj, seconds=None, trail=_trail(obj))
+
+    expected = search(str(setfile))
+    assert expected["status"] == "success"
+    for text in (gen.stdout, "# header\n" + gen.stdout):
+        assert search("/dev/stdin", text) == expected

@@ -1,6 +1,5 @@
 """Frequency-set model, generators, difference sets, and file round-trips."""
 
-import io
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -588,11 +587,6 @@ def test_format_set_matches_per_element_writer(tmp_path_factory, case):
         assert "".join(freqset_mod.format_set(I)).encode("ascii") == path.read_bytes()
 
 
-def _layout_rows(data: bytes):
-    """The byte parse alone: write_set's layout as an array, else None."""
-    return freqset_mod._read_layout(io.BytesIO(data))
-
-
 @st.composite
 def _read_chunking(draw):
     """A set, and a read chunk of 1 byte, one line, a size that cuts a line, or the default."""
@@ -614,7 +608,7 @@ def test_read_set_round_trips_through_the_byte_parse(tmp_path_factory, case):
     write_set(I, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freqset_mod, "_CHUNK_BYTES", size)
-        assert np.array_equal(_layout_rows(path.read_bytes()), I.array)
+        assert np.array_equal(freqset_mod._read_layout(path.read_bytes()), I.array)
         assert read_set(path) == I
 
 
@@ -645,6 +639,13 @@ _REFUSED = {
     "non-ascii-digit": "1 2\n3 \u0663\n".encode(),
     "empty": b"",
     "newline-only": b"\n",
+    # Text mode ends lines at \n, \r\n and \r alone, and str.split() splits
+    # on the rest of these; str.splitlines() would end lines at each.
+    "form-feed": "1\x0c2\n3 4\n".encode(),
+    "line-separator": "1\u20282\n3 4\n".encode(),
+    "file-separator": "1 2\x1c\n3 4\n".encode(),
+    "next-line": "1\x852\n3 4\n".encode(),
+    "cr": b"1 2\r3 4\r",
 }
 # The longest components the byte parse still reads: 18 digits, with or without a sign.
 _ACCEPTED = {
@@ -660,7 +661,7 @@ _ACCEPTED = {
 def test_byte_parse_refuses_other_text(tmp_path, monkeypatch, name, size):
     monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", size)
     data = _REFUSED[name]
-    assert _layout_rows(data) is None
+    assert freqset_mod._read_layout(data) is None
     path = tmp_path / "set.txt"
     path.write_bytes(data)
     assert _read_or_error(path) == _read_by_int(path)
@@ -671,7 +672,7 @@ def test_byte_parse_refuses_other_text(tmp_path, monkeypatch, name, size):
 def test_byte_parse_reads_the_longest_components(tmp_path, monkeypatch, name, size):
     monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", size)
     data, rows = _ACCEPTED[name]
-    assert _layout_rows(data).tolist() == rows
+    assert freqset_mod._read_layout(data).tolist() == rows
     path = tmp_path / "set.txt"
     path.write_bytes(data)
     assert _read_or_error(path) == _read_by_int(path)
@@ -683,16 +684,33 @@ def test_read_set_memory_stays_within_a_chunk(tmp_path):
     # would hold a second copy of the output (6.4 MB).
     path = tmp_path / "set.txt"
     write_set(gen_cube(5, 5), path)
-    assert path.stat().st_size > 8 * freqset_mod._CHUNK_BYTES
+    data = path.read_bytes()
+    assert len(data) > 8 * freqset_mod._CHUNK_BYTES
     tracemalloc.start()
     try:
-        with open(path, "rb") as fh:
-            rows = freqset_mod._read_layout(fh)
+        rows = freqset_mod._read_layout(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rows.shape == (11**5, 5)
     assert peak < rows.nbytes + 3_000_000
+
+
+def test_read_set_drops_the_bytes_before_the_copy(tmp_path):
+    # FrequencySet's copy of the parsed rows sets read_set's peak (18.2 MB
+    # here in tracemalloc); the file's 2 MB of bytes still held then would
+    # raise it to 20.2 MB.
+    path = tmp_path / "set.txt"
+    I = gen_cube(5, 5)
+    write_set(I, path)
+    tracemalloc.start()
+    try:
+        J = read_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J == I
+    assert peak < 3 * I.array.nbytes
 
 
 def _read_by_int(path):

@@ -221,6 +221,16 @@ def test_construct_determinism_and_budget():
     assert a.mode == "reconstruction" and a.M == 17 and a.seed == 99
 
 
+def test_construct_reports_the_seed_only_when_it_seeds_the_run():
+    I = gen_axis_cross(3, 4)
+    cfg = CbcConfig(43, 10, "reconstruction", seed=5)
+    assert cbc_construct(I, cfg).seed == 5
+    # A caller's rng drives the run and cfg.seed goes unread: no seed to report.
+    given = cbc_construct(I, cfg, random.Random(9))
+    assert given.seed is None
+    assert given.z == cbc_construct(I, CbcConfig(43, 10, "reconstruction", seed=9)).z
+
+
 def test_construct_basic_equals_construct_when_head_succeeds():
     I = gen_axis_cross(2, 6)
     for seed in range(10):
