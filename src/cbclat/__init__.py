@@ -26,6 +26,7 @@ from .kernels import (
     Step,
     check_exactness_integration,
     check_exactness_reconstruction,
+    commit,
     init_residues,
     prepare_step,
 )
@@ -60,7 +61,7 @@ __all__ = [
     "Rank1Lattice", "TrigPolynomial", "nodes", "cubature", "verify_integration",
     "verify_reconstruction", "eval_poly", "eval_on_lattice", "reconstruct_coeffs",
     "ResidueState", "Step", "init_residues", "prepare_step", "check_exactness_integration",
-    "check_exactness_reconstruction", "MODE_INTEGRATION", "MODE_RECONSTRUCTION",
+    "check_exactness_reconstruction", "commit", "MODE_INTEGRATION", "MODE_RECONSTRUCTION",
     "CbcConfig", "CbcResult", "two_step_permutation", "cbc_construct", "cbc_construct_basic",
     "cbc_exhaustive", "estimate_failure_bound",
     "is_prime", "nextprime", "initial_size", "heuristic_search", "SearchOutcome",

@@ -84,8 +84,9 @@ class FrequencySet:
         """Read-only (n, d) int64 view of the frequencies in natural order."""
         return self._arr
 
-    def nonzeros(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows j with k_{j,t} != 0, in set order, and those components.
+    def nonzeros(self, t: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Rows j with k_{j,t} != 0, in set order, those components, and their
+        largest |k_{j,t}| (0 for a zero column).
 
         Built for every column at once on first use (one np.nonzero over the
         transposed array) and kept, since the set never changes.
@@ -96,7 +97,9 @@ class FrequencySet:
             rows.setflags(write=False)
             values.setflags(write=False)
             cuts = np.searchsorted(cols, np.arange(1, self.d))
-            self._nonzeros = tuple(zip(np.split(rows, cuts), np.split(values, cuts)))
+            per_col = np.split(values, cuts)
+            bounds = [int(np.abs(v).max(initial=0)) for v in per_col]
+            self._nonzeros = tuple(zip(np.split(rows, cuts), per_col, bounds))
         return self._nonzeros[t]
 
     @property
@@ -239,9 +242,10 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
     """Weighted hyperbolic cross {k : prod_j max(1, |k_j|/gamma_j) <= threshold}.
 
     The set is enumerated over the first dmax coordinates and returned as a
-    dmax-dimensional set, depth-first with an exact rational budget, so no
-    floating point decides the boundary. A row ends at the first coordinate
-    whose bound int(budget*gamma_j) is 0: the weights never increase.
+    dmax-dimensional set, depth-first with an exact rational budget num/den in
+    Python ints, so no floating point decides the boundary. A row ends at the
+    first coordinate whose bound floor(budget*gamma_j) is 0: the weights never
+    increase.
     """
     thr = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     if thr <= 0:
@@ -250,14 +254,17 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
         raise ValueError("threshold < 1 would produce an empty set")
     if dmax < 1:
         raise ValueError("need dmax >= 1")
-    gammas = [weights.gamma(j) for j in range(1, dmax + 1)]
+    # gamma_j = p/q; the weight 0 past dmax ends every row there.
+    gammas = [weights.gamma(j).as_integer_ratio() for j in range(1, dmax + 1)] + [(0, 1)]
 
     rows: list[tuple[int, ...]] = []
     buf = [0] * dmax
 
-    def descend(j: int, budget: Fraction) -> None:
-        # budget = threshold / (product of factors fixed so far), always >= 1.
-        bound = int(budget * gammas[j]) if j < dmax else 0
+    def descend(j: int, num: int, den: int) -> None:
+        # num/den = threshold / (product of factors fixed so far), always >= 1.
+        p, q = gammas[j]
+        num_p, den_q = num * p, den * q
+        bound = num_p // den_q
         if bound == 0:
             rows.append(tuple(buf))
             if len(rows) > SIZE_CAP:
@@ -265,10 +272,13 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
             return
         for k in range(-bound, bound + 1):
             buf[j] = k
-            descend(j + 1, budget * gammas[j] / abs(k) if k else budget)
+            if abs(k) * q > p:  # the factor max(1, |k|/gamma_j) exceeds 1
+                descend(j + 1, num_p, den_q * abs(k))
+            else:
+                descend(j + 1, num, den)
         buf[j] = 0
 
-    descend(0, thr)
+    descend(0, thr.numerator, thr.denominator)
     return FrequencySet(rows)
 
 
@@ -422,6 +432,12 @@ def read_set(path) -> FrequencySet:
         data = fh.read()
     rows = _read_layout(data)
     if rows is None:
-        rows = _read_by_lines(data.decode("utf-8"), path)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line holding the bad byte, counted as _read_by_lines counts lines
+            line = len(io.StringIO(data[:exc.start].decode() + "x", newline=None).readlines())
+            raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        rows = _read_by_lines(text, path)
     del data  # before FrequencySet copies the rows, which sets the peak
     return FrequencySet(rows)

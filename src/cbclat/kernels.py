@@ -1,7 +1,8 @@
 """Incremental per-step exactness checks for the CBC search.
 
-A state is M and the residues nu_j = k_j . (z_1..z_l, 0..) mod M of I's rows,
-in set order. Both kernels test a candidate y for step l against it:
+A CBC attempt owns one ResidueState: M and the residues nu_j =
+k_j . (z_1..z_l, 0..) mod M of I's rows, in set order. Both kernels test a
+candidate y for step l against it:
 
   integration:    accept iff (nu_j + y k_{j,l}) mod M != 0 wherever k_{j,l} != 0
   reconstruction: accept iff the distinct length-l prefixes of I keep
@@ -16,18 +17,20 @@ reads. Integration reads only the rows with k_{j,l} != 0. Both take column l
 from FrequencySet.nonzeros, never from the dense array.
 
 prepare_step selects those rows once per step; a candidate then costs one
-(v + y k) mod M over them and a zero test or a sort. Only an accepted y builds
-a state, in both modes as nu with the rows k_{j,l} != 0 moved. init_residues
-is step 0 from all-zero residues (one prefix, the empty one), checked at
-z_1 = 1 and accepted whatever the verdict, so each mode's rule lives once.
+(v + y k) mod M over them and a zero test or a sort. No check writes the
+buffer: an accepted y returns the new residues of the rows k_{j,l} != 0 it
+moves, and commit writes them in place, O(moved rows). init_residues is step 0
+from all-zero residues (one prefix, the empty one), checked at z_1 = 1 and
+committed whatever the verdict, so each mode's rule lives once.
 
-Components pass through lattice.exact_operand once per step: int64 while
-M (max|k_l| + 1) < 2^63, Python ints beyond, so (v + y k) mod M stays exact.
+Components pass through lattice.exact_operand once per step, with the max|k_l|
+that FrequencySet.nonzeros keeps: int64 while M (max|k_l| + 1) < 2^63, Python
+ints beyond, so (v + y k) mod M stays exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,33 +42,28 @@ MODE_RECONSTRUCTION = "reconstruction"
 MODES = (MODE_INTEGRATION, MODE_RECONSTRUCTION)
 
 
-@dataclass(frozen=True)
 class ResidueState:
-    """nu_j = k_j . (z_1..z_l, 0..) mod M for every frequency k_j, in set order.
+    """An attempt's residue buffer: nu_j = k_j . (z_1..z_l, 0..) mod M for every
+    k_j in set order, in an int64 copy of values that commit updates in place."""
 
-    The checks are for states built by callers: _accepted skips them, because
-    it builds its residues just reduced mod M."""
+    __slots__ = ("values", "M")
 
-    values: np.ndarray
-    M: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        if self.M < 1:
+    def __init__(self, values, M: int):
+        v = np.array(values, dtype=np.int64)
+        if M < 1:
             raise ValueError("modulus must be >= 1")
         if v.ndim != 1 or v.shape[0] < 1:
             raise ValueError("residue vector must be one-dimensional and non-empty")
-        if (v < 0).any() or (v >= self.M).any():
+        if (v < 0).any() or (v >= M).any():
             raise ValueError("residues must lie in [0, M)")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.values, self.M = v, M
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """A step's y-independent part: the rows the verdict reads, their residues v
     and components k, and the rows with k_l != 0 (the rows y moves) with their
-    components dk; k and dk are signed and exact_operand's, so v + y k is exact."""
+    components dk; k and dk are signed and exact_operand's, so v + y k is exact.
+    v is a copy, stale once the step is committed."""
 
     state: ResidueState
     rows: np.ndarray
@@ -80,15 +78,15 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
 
     state holds the residues of I's rows over components 0..ell-1, and the
     distinct length-ell prefixes of I must have distinct residues in it, as
-    after a successful init_residues and after every accepted step: a
+    after a successful init_residues and after every committed step: a
     reconstruction step tells the prefixes apart by their residues alone.
     """
     if len(I) != state.values.shape[0]:
         raise ValueError("frequency set size disagrees with residue vector")
     if not 0 <= ell < I.d:
         raise ValueError(f"component index {ell} outside 0..{I.d - 1}")
-    moved, values = I.nonzeros(ell)
-    dk = exact_operand(values, state.M)
+    moved, values, bound = I.nonzeros(ell)
+    dk = exact_operand(values, state.M, bound)
     if mode == MODE_INTEGRATION:
         return Step(state, moved, state.values[moved], dk, moved, dk)
     if mode != MODE_RECONSTRUCTION:
@@ -107,8 +105,14 @@ def _shifted(step: Step, y: int) -> np.ndarray:
     return (step.v + (y % M) * step.k) % M
 
 
+def _moved(step: Step, y: int) -> np.ndarray:
+    """The residues of the rows y moves (k_l != 0) after y, in a new array."""
+    M = step.state.M
+    return (step.state.values[step.moved] + (y % M) * step.dk) % M
+
+
 def _integration_ok(r: np.ndarray) -> bool:
-    return bool(r.all())
+    return np.count_nonzero(r) == r.shape[0]
 
 
 def _reconstruction_ok(r: np.ndarray) -> bool:
@@ -116,16 +120,9 @@ def _reconstruction_ok(r: np.ndarray) -> bool:
     return not (r[1:] == r[:-1]).any()
 
 
-def _accepted(step: Step, y: int, r: np.ndarray | None = None) -> ResidueState:
-    """The state after y: nu with the rows k_l != 0 moved, to r when the caller
-    has their residues already. Residues just reduced mod M are not re-checked."""
-    M = step.state.M
-    values = step.state.values.copy()
-    values[step.moved] = (values[step.moved] + (y % M) * step.dk) % M if r is None else r
-    values.setflags(write=False)
-    state = object.__new__(ResidueState)
-    state.__dict__.update(values=values, M=M)
-    return state
+def commit(step: Step, r: np.ndarray) -> None:
+    """Write the residues r of step.moved that a check accepted into the buffer."""
+    step.state.values[step.moved] = r
 
 
 # init_residues reads the verdicts here, not through the public check names:
@@ -137,30 +134,33 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
     """Step 1 with the fixed choice z_1 = 1.
 
     Returns whether the first components alone already satisfy the mode's
-    property, and the residues k_1 mod M whatever the verdict.
+    property, and a new buffer of the residues k_1 mod M whatever the verdict.
     """
     if M < 2:
         raise ValueError("need M >= 2")
-    step = prepare_step(ResidueState(np.zeros(len(I), dtype=np.int64), M), I, 0, mode)
-    return _VERDICTS[mode](_shifted(step, 1)), _accepted(step, 1)
+    state = ResidueState(np.zeros(len(I), dtype=np.int64), M)
+    step = prepare_step(state, I, 0, mode)
+    ok = _VERDICTS[mode](_shifted(step, 1))
+    commit(step, _moved(step, 1))
+    return ok, state
 
 
-def check_exactness_integration(step: Step, y: int) -> tuple[bool, ResidueState | None]:
+def check_exactness_integration(step: Step, y: int) -> tuple[bool, np.ndarray | None]:
     """Integration admissibility of candidate y, O(rows with k_l != 0).
 
-    Returns the verdict and, only if it is True, the state after the step.
+    Returns the verdict and, only if True, the new residues of step.moved.
     """
-    r = _shifted(step, y)  # the verdict rows are the rows with k_l != 0
-    return (True, _accepted(step, y, r)) if _integration_ok(r) else (False, None)
+    r = _shifted(step, y)  # the verdict rows are the moved rows
+    return (True, r) if _integration_ok(r) else (False, None)
 
 
-def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, ResidueState | None]:
+def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, np.ndarray | None]:
     """Reconstruction admissibility of candidate y, O(p log p) for p prefixes.
 
     Rows agreeing on the whole prefix count once; rows whose components are
     congruent mod M but distinct as integers stay separate, so their meeting
-    residues reject y. Returns the verdict and, only if True, the next state.
+    residues reject y. Returns the verdict and, only if True, step.moved's new residues.
     """
     if not _reconstruction_ok(_shifted(step, y)):
         return False, None
-    return True, _accepted(step, y)
+    return True, _moved(step, y)

@@ -26,14 +26,15 @@ from .freqset import FrequencySet
 INT64_SAFE_M = 3037000499
 
 
-def exact_operand(k: np.ndarray, M: int) -> np.ndarray:
+def exact_operand(k: np.ndarray, M: int, bound: int | None = None) -> np.ndarray:
     """k in a dtype where v + y*k is exact for residues 0 <= v, y < M.
 
     |v + y k| <= (M - 1)(max|k| + 1), so int64 holds it while
     M (max|k| + 1) < 2^63; beyond that k becomes an array of Python ints and
-    the same expression runs on them.
+    the same expression runs on them. bound is max|k| when the caller keeps it.
     """
-    bound = int(np.abs(k).max(initial=0))
+    if bound is None:
+        bound = int(np.abs(k).max(initial=0))
     return k if int(M) * (bound + 1) < 2**63 else k.astype(object)
 
 

@@ -80,7 +80,8 @@ def two_step_permutation(M: int, rng: random.Random):
 
 def _drive(I: FrequencySet, M: int, mode: str, step_candidates, seed: int | None) -> CbcResult:
     """Common CBC loop: z_1 = 1, then per later step the first admissible y of
-    step_candidates(), which yields at least one candidate in test order."""
+    step_candidates(), which yields at least one candidate in test order. The
+    attempt's residue buffer comes from init_residues; only accepted y write it."""
     M = operator.index(M)
     kernel = (kernels.check_exactness_integration if mode == MODE_INTEGRATION
               else kernels.check_exactness_reconstruction)
@@ -92,12 +93,13 @@ def _drive(I: FrequencySet, M: int, mode: str, step_candidates, seed: int | None
     for ell in range(1, I.d):
         step = kernels.prepare_step(state, I, ell, mode)
         for tested, y in enumerate(step_candidates(), 1):
-            ok, state = kernel(step, y)
+            ok, r = kernel(step, y)
             if ok:
                 break
         counts.append(tested)
         if not ok:
             return CbcResult("failed", None, tuple(counts), mode, M, seed)
+        kernels.commit(step, r)
         z.append(y)
     return CbcResult("success", tuple(z), tuple(counts), mode, M, seed)
 

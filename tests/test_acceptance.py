@@ -28,6 +28,7 @@ from cbclat.heuristic import heuristic_search, initial_size
 from cbclat.kernels import (
     check_exactness_integration,
     check_exactness_reconstruction,
+    commit,
     init_residues,
     prepare_step,
 )
@@ -104,8 +105,8 @@ def test_criterion_03_kernels_match_direct_verifiers():
     # At least 10^4 (prefix, M, step) cases; for each, every candidate
     # y in 0..M-1 must get the same verdict from the incremental kernel and
     # from the direct verifier on the projected set. Prefixes are extended
-    # only through kernel-accepted components, matching how the drivers use
-    # the kernels.
+    # only through kernel-accepted components, committed to the one buffer
+    # after all M checks, matching how the drivers use the kernels.
     started = time.perf_counter()
     rng = random.Random(303)
     primes = (11, 13, 17, 19, 23, 29, 31)
@@ -140,7 +141,7 @@ def test_criterion_03_kernels_match_direct_verifiers():
             if cases >= 10_000 or accepted is None:
                 break
             z.append(accepted[0])
-            state = accepted[1]
+            commit(step, accepted[1])
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(f"criterion 03 PASS: {cases} prefix cases, {candidates} candidate "

@@ -459,6 +459,15 @@ def test_missing_setfile_exit1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_setfile_names_file_and_line(tmp_path, capsys):
+    setfile = tmp_path / "latin.txt"
+    setfile.write_bytes(b"1 2\n\xff 3\n")
+    assert main(["search", str(setfile), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {setfile}:2: ")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

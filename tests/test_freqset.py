@@ -1,6 +1,7 @@
 """Frequency-set model, generators, difference sets, and file round-trips."""
 
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -103,14 +104,17 @@ def test_column_nonzeros():
     I = FrequencySet([(0, 0, 3), (1, 0, -2), (2, 0, 0), (-1, 5, 0)])  # rows re-sorted
     assert I.array[:, 0].tolist() == [-1, 0, 1, 2]
     for t in range(I.d):
-        rows, values = I.nonzeros(t)
+        rows, values, bound = I.nonzeros(t)
         assert rows.tolist() == np.flatnonzero(I.array[:, t]).tolist()
         assert values.tolist() == I.array[rows, t].tolist()
         assert not rows.flags.writeable and not values.flags.writeable
+        assert type(bound) is int and bound == np.abs(I.array[:, t]).max()
     assert I.nonzeros(1)[0].tolist() == [0]
     assert I.nonzeros(2)[1].tolist() == [3, -2]
+    assert [I.nonzeros(t)[2] for t in range(I.d)] == [2, 5, 3]
     zero = FrequencySet([(0, 0)])
     assert zero.nonzeros(0)[0].shape == zero.nonzeros(1)[1].shape == (0,)
+    assert zero.nonzeros(0)[2] == zero.nonzeros(1)[2] == 0
 
 
 def test_row_norms():
@@ -302,6 +306,67 @@ def test_hyperbolic_pruned_descent_matches_bruteforce(weights, threshold, dmax, 
         gen_weighted_hyperbolic(weights, threshold, dmax)
 
 
+def _whc_fraction_descent(weights, threshold, dmax):
+    """The generator's depth-first descent with a Fraction budget per node:
+    the reference for its budget in integer numerator and denominator."""
+    gammas = [weights.gamma(j) for j in range(1, dmax + 1)]
+    rows, buf = [], [0] * dmax
+
+    def descend(j, budget):
+        bound = int(budget * gammas[j]) if j < dmax else 0
+        if bound == 0:
+            rows.append(tuple(buf))
+            return
+        for k in range(-bound, bound + 1):
+            buf[j] = k
+            descend(j + 1, budget / max(1, Fraction(abs(k)) / gammas[j]))
+        buf[j] = 0
+
+    descend(0, Fraction(threshold))
+    return rows
+
+
+def _whc_weight(weights, k):
+    w = Fraction(1)
+    for j, v in enumerate(k, start=1):
+        w *= max(1, Fraction(abs(v)) / weights.gamma(j))
+    return w
+
+
+@pytest.mark.parametrize("weights", [
+    WeightSpec.inverse_square(),
+    WeightSpec.explicit([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(1, 5)]),
+    WeightSpec.explicit([Fraction(3, 2), Fraction(5, 4), Fraction(1, 5), Fraction(1, 9)]),
+], ids=["inverse-square", "explicit", "explicit-above-one"])
+def test_hyperbolic_integer_budget_matches_fraction_descent(weights, monkeypatch):
+    # The rows in the order the generator emits them, which must be natural.
+    emitted = []
+    monkeypatch.setattr(freqset_mod, "FrequencySet", lambda rows: emitted.append(rows) or rows)
+    on_boundary = 0
+    for thr in (1, 3, 36, 50, Fraction(77, 3), Fraction(401, 2)):
+        want = _whc_fraction_descent(weights, thr, 4)
+        assert gen_weighted_hyperbolic(weights, thr, 4) == want == sorted(want)
+        row_weights = [_whc_weight(weights, k) for k in want]
+        assert max(row_weights) <= thr
+        # rows whose weight is the threshold exactly: the budget reaches 1
+        on_boundary += row_weights.count(thr)
+    assert on_boundary > 0
+    assert len(emitted) == 6
+
+
+def test_hyperbolic_weights_above_one_match_bruteforce():
+    # A weight above 1 leaves |k| <= gamma_j at factor 1: such a coordinate
+    # does not raise the budget of the coordinates after it.
+    w = WeightSpec.explicit([Fraction(3, 2), Fraction(3, 2)])
+    assert (1, 2) not in gen_weighted_hyperbolic(w, 1, 2)
+    for thr in (1, 2, Fraction(7, 3)):
+        got = gen_weighted_hyperbolic(w, thr, 2)
+        assert got.items == whc_oracle(w.gamma, thr, 2)
+    w = WeightSpec.explicit([2, Fraction(3, 2), Fraction(5, 4), Fraction(1, 2)])
+    for thr in (1, 3, Fraction(9, 2)):
+        assert gen_weighted_hyperbolic(w, thr, 4).items == whc_oracle(w.gamma, thr, 4)
+
+
 def test_hyperbolic_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gen_weighted_hyperbolic(WeightSpec.inverse_square(), 0, 3)
@@ -467,6 +532,13 @@ def test_read_rejects_malformed(tmp_path):
     bad6.write_text(f"1 2\n{2**70} 3\n")
     with pytest.raises(ValueError):
         read_set(bad6)
+    # bytes that are not UTF-8 name the file and their line, any line ending
+    bad7 = tmp_path / "g.txt"
+    for data, line in [(b"\xff 1\n", 1), (b"1 2\n\xff 3\n", 2), (b"1 2\r3 4\r\n5 \xc3\n", 3),
+                       (b"# \xe9\n1 2\n", 1)]:
+        bad7.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad7))}:{line}: not UTF-8"):
+            read_set(bad7)
 
 
 @settings(max_examples=50, deadline=None)

@@ -166,29 +166,37 @@ def test_seed_determinism():
         [(e.M_tilde, e.attempts, e.ok) for e in b.trail]
 
 
-# Seed 1 on two benchmark sets, one per kernel: the size, the vector and the
-# (size, attempts, ok) trail. Any change to the candidate stream, the kernels'
+# Seed 1 on the three benchmark sets, the integration one and two for the
+# reconstruction kernel: the mode, the size, the vector and the (size,
+# attempts, ok) trail. Any change to the candidate stream, the kernels'
 # verdicts or the halving moves one of them.
 PINNED_SEARCHES = {
     "integration": (
-        lambda: gen_superposition2(60, 1), 127,
+        "integration", lambda: gen_superposition2(60, 1), 127,
         (1, 11, 52, 14, 105, 102, 5, 24, 30, 100, 76, 53, 20, 58, 21, 87, 111, 13, 55, 124,
          48, 125, 117, 104, 37, 70, 32, 91, 61, 28, 83, 6, 41, 92, 59, 50, 120, 78, 31, 80,
          115, 88, 60, 84, 45, 33, 42, 108, 98, 15, 46, 109, 17, 34, 8, 65, 118, 71, 123, 54),
         [(14407, 1, True), (7207, 1, True), (3607, 1, True), (1811, 1, True), (907, 1, True),
          (457, 1, True), (229, 1, True), (127, 1, True), (67, 5, False)]),
     "reconstruction": (
-        lambda: gen_weighted_hyperbolic(WeightSpec.inverse_square(), 200, 14), 22993,
+        "reconstruction", lambda: gen_weighted_hyperbolic(WeightSpec.inverse_square(), 200, 14),
+        22993,
         (1, 17956, 16796, 941, 20820, 19153, 3002, 18056, 8365, 1063, 2309, 2727, 546, 14843),
         [(5880629, 1, True), (2940317, 1, True), (1470173, 1, True), (735107, 1, True),
          (367559, 1, True), (183797, 1, True), (91909, 1, True), (45959, 1, True),
          (22993, 1, True), (11497, 5, False)]),
+    "reconstruction-axis-cross": (
+        "reconstruction", lambda: gen_axis_cross(10, 64), 12829,
+        (1, 5684, 1622, 9395, 7094, 290, 1415, 9524, 10091, 7431),
+        [(1640971, 1, True), (820489, 1, True), (410257, 1, True), (205129, 1, True),
+         (102587, 1, True), (51307, 1, True), (25657, 1, True), (12829, 2, True),
+         (6421, 5, False)]),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(PINNED_SEARCHES))
-def test_pinned_search_stream(mode):
-    make, M, z, trail = PINNED_SEARCHES[mode]
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_pinned_search_stream(name):
+    mode, make, M, z, trail = PINNED_SEARCHES[name]
     out = heuristic_search(make(), mode, K=5, T=100, rng=random.Random(1))
     assert (out.M, out.z) == (M, z)
     assert [(e.M_tilde, e.attempts, e.ok) for e in out.trail] == trail

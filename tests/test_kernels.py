@@ -12,6 +12,7 @@ from cbclat.kernels import (
     ResidueState,
     check_exactness_integration,
     check_exactness_reconstruction,
+    commit,
     init_residues,
     prepare_step,
 )
@@ -111,7 +112,12 @@ def _verifier(mode):
 
 
 def test_residue_state_validation():
-    assert ResidueState(np.array([0, 4]), 5).values.tolist() == [0, 4]
+    given = np.array([0, 4])
+    state = ResidueState(given, 5)
+    assert state.values.tolist() == [0, 4]
+    # The state owns a writable int64 copy: commits never reach the caller's array.
+    assert state.values.dtype == np.int64 and state.values.flags.writeable
+    assert not np.shares_memory(state.values, given)
     with pytest.raises(ValueError):
         ResidueState(np.array([5]), 5)
     with pytest.raises(ValueError):
@@ -163,15 +169,17 @@ def test_integration_kernel_hand_trace():
     assert ok
     assert state.values.tolist() == [0, 0, 1]
     step = prepare_step(state, TRIPLE, 1, "integration")  # column (0, 1, 0)
-    assert step.rows.tolist() == [1]
-    good, s1 = check_exactness_integration(step, 1)
+    assert step.rows.tolist() == step.moved.tolist() == [1]
+    good, r1 = check_exactness_integration(step, 1)
     assert good
-    assert s1.values.tolist() == [0, 1, 1]
-    good, s0 = check_exactness_integration(step, 0)
+    assert r1.tolist() == [1]  # the new residue of the one moved row
+    good, r0 = check_exactness_integration(step, 0)
     assert not good
-    assert s0 is None  # no state is built for a rejected candidate
-    # input state never mutated
+    assert r0 is None  # nothing is returned for a rejected candidate
+    # checks never write the buffer; commit writes the moved row alone
     assert state.values.tolist() == [0, 0, 1]
+    commit(step, r1)
+    assert state.values.tolist() == [0, 1, 1]
 
 
 def test_integration_kernel_all_zero_column():
@@ -179,10 +187,13 @@ def test_integration_kernel_all_zero_column():
     _, state = init_residues(I, 5, "integration")
     step = prepare_step(state, I, 1, "integration")
     assert step.rows.shape == step.v.shape == step.k.shape == (0,)
+    before = state.values.tolist()
     for y in range(5):
-        good, s = check_exactness_integration(step, y)
+        good, r = check_exactness_integration(step, y)
         assert good
-        assert s.values.tolist() == state.values.tolist()
+        assert r.shape == (0,)
+        commit(step, r)
+        assert state.values.tolist() == before
 
 
 def test_integration_kernel_single_nonzero_row():
@@ -193,11 +204,12 @@ def test_integration_kernel_single_nonzero_row():
     step = prepare_step(state, I, 1, "integration")
     assert step.rows.tolist() == [2]
     for y in range(-5, 10):
-        good, s = check_exactness_integration(step, y)
+        good, r = check_exactness_integration(step, y)
         assert good == verify_integration(Rank1Lattice(5, (1, y % 5)), I)
         assert good == (y % 5 != 1)
         if good:
-            assert s.values.tolist() == _residues(I, 5, [1, y % 5]).tolist()
+            assert r.tolist() == _residues(I, 5, [1, y % 5])[2:].tolist()
+    assert state.values.tolist() == [0, 1, 2]
 
 
 def test_reconstruction_kernel_hand_trace():
@@ -206,12 +218,16 @@ def test_reconstruction_kernel_hand_trace():
     assert state.values.tolist() == [0, 0, 1]
     step = prepare_step(state, TRIPLE, 1, "reconstruction")  # column (0, 1, 0)
     assert step.rows.tolist() == [True, True, True]
-    good, s1 = check_exactness_reconstruction(step, 1)
+    assert step.moved.tolist() == [1]
+    good, r1 = check_exactness_reconstruction(step, 1)
     assert not good  # residues (0, 1, 1) collide
-    assert s1 is None
-    good, s2 = check_exactness_reconstruction(step, 2)
+    assert r1 is None
+    good, r2 = check_exactness_reconstruction(step, 2)
     assert good
-    assert s2.values.tolist() == [0, 2, 1]
+    assert r2.tolist() == [2]  # the new residue of the one moved row
+    assert state.values.tolist() == [0, 0, 1]
+    commit(step, r2)
+    assert state.values.tolist() == [0, 2, 1]
 
 
 def test_reconstruction_kernel_single_frequency():
@@ -299,8 +315,8 @@ def _random_instance(rng):
 
 def _walk(I, M, mode):
     """Full construction through the step kernels, trying y = 0, 1, ... and
-    committing only accepted states. Yields (z, state) after every accepted
-    component."""
+    committing the first accepted y. Yields (z, state) after every accepted
+    component: the one buffer, updated in place."""
     kernel = _kernel(mode)
     ok, state = init_residues(I, M, mode)
     if not ok:
@@ -309,10 +325,10 @@ def _walk(I, M, mode):
     for ell in range(1, I.d):
         step = prepare_step(state, I, ell, mode)
         for y in range(M):
-            good, cand = kernel(step, y)
+            good, r = kernel(step, y)
             if good:
                 z.append(y)
-                state = cand
+                commit(step, r)
                 yield z, state
                 break
         else:
@@ -362,29 +378,70 @@ def test_carried_residues_match_recomputation():
 
 
 def test_accepted_states_equal_validated_states():
-    # Accepted states skip ResidueState's range check; they must still be
-    # what the validating constructor builds, frozen, in int64 and in range.
+    # Commits skip ResidueState's range check; the buffer they leave must
+    # still be what the validating constructor accepts, in int64 and in range.
     rng = random.Random(777)
     walked = 0
     for mode in ("integration", "reconstruction"):
         for _ in range(40):
             I, M = _random_instance(rng)
             for _, state in _walk(I, M, mode):
-                # Flags first: the validating constructor freezes in place.
-                assert not state.values.flags.writeable
                 checked = ResidueState(state.values, state.M)
-                assert state.values.dtype == np.int64
+                assert state.values.dtype == np.int64 and state.values.flags.writeable
                 assert np.array_equal(state.values, checked.values) and state.M == M
                 walked += 1
     assert walked > 50
-    # With M (max|k| + 1) >= 2^63 the kernels compute in Python ints; states
-    # stay int64.
+    # With M (max|k| + 1) >= 2^63 the kernels compute in Python ints; the
+    # buffer stays int64.
     M = nextprime(2**62)
     I = FrequencySet([(1, 1), (2, 3)])
     for mode in ("integration", "reconstruction"):
-        good, state = _kernel(mode)(prepare_step(init_residues(I, M, mode)[1], I, 1, mode), M - 2)
-        assert good and state.values.dtype == np.int64
+        _, state = init_residues(I, M, mode)
+        step = prepare_step(state, I, 1, mode)
+        assert step.dk.dtype == object
+        good, r = _kernel(mode)(step, M - 2)
+        assert good
+        commit(step, r)
+        assert state.values.dtype == np.int64
         assert state.values.tolist() == [M - 1, M - 4]
+
+
+@pytest.mark.parametrize("mode", ["integration", "reconstruction"])
+def test_checks_never_write_the_buffer(mode):
+    # Every candidate of every step, accepted ones included, leaves the
+    # buffer as it was; each accepted y's residues are those of step.moved
+    # from scratch, and commit writes exactly those rows.
+    rng = random.Random(55 if mode == "integration" else 56)
+    accepted = 0
+    for _ in range(40):
+        I, M = _random_instance(rng)
+        ok, state = init_residues(I, M, mode)
+        if not ok:
+            continue
+        z = [1]
+        for ell in range(1, I.d):
+            step = prepare_step(state, I, ell, mode)
+            before = state.values.copy()
+            first = None
+            for y in range(M):
+                good, r = _kernel(mode)(step, y)
+                assert np.array_equal(state.values, before)
+                if good:
+                    padded = z + [y] + [0] * (I.d - len(z) - 1)
+                    assert r.tolist() == _residues(I, M, padded)[step.moved].tolist()
+                    accepted += 1
+                    first = first or (y, r)
+            if first is None:
+                break
+            commit(step, first[1])
+            z.append(first[0])
+            changed = np.flatnonzero(state.values != before)
+            assert set(changed.tolist()) <= set(step.moved.tolist())
+            assert state.values[step.moved].tolist() == first[1].tolist()
+            outside = np.ones(len(I), dtype=bool)
+            outside[step.moved] = False
+            assert np.array_equal(state.values[outside], before[outside])
+    assert accepted > 200
 
 
 def test_accepted_prefixes_satisfy_direct_verifiers():
@@ -475,7 +532,7 @@ def _walk_near_bound(M, mode, rng, dtype):
         assert not verdicts[-7][2]  # the forced candidate
         assert accepted is not None
         z.append(accepted[0])
-        state = accepted[1]
+        commit(step, accepted[1])
         padded = z + [0] * (I.d - len(z))
         assert state.values.tolist() == _residues(I, M, padded).tolist()
     assert _verifier(mode)(Rank1Lattice(M, tuple(z)), I)
