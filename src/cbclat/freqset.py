@@ -55,13 +55,24 @@ class FrequencySet:
     """Deduplicated, lexicographically sorted set of frequency vectors: an
     immutable (n, d) int64 array whose rows are the frequencies."""
 
-    __slots__ = ("_arr", "_nonzeros", "_norms")
+    __slots__ = ("_arr", "_entries", "_nonzeros", "_spans", "_norms")
 
     def __init__(self, rows):
-        # A copy, so freezing it below never freezes the caller's buffer.
+        # A copy, so freezing it in _own never freezes the caller's buffer.
         arr = _integers(rows)
         if arr is None:
             raise ValueError("invalid frequency data: expected integer vectors within int64")
+        self._own(arr)
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> "FrequencySet":
+        """The set of arr's rows, for an int64 array the package built and hands
+        over: checked like any input and frozen in place, with no copy."""
+        I = cls.__new__(cls)
+        I._own(arr)
+        return I
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError("expected a sequence of equal-length frequency vectors")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -72,8 +83,7 @@ class FrequencySet:
             arr = np.unique(arr, axis=0)
         arr.setflags(write=False)
         self._arr = arr
-        self._nonzeros = None
-        self._norms = None
+        self._entries = self._nonzeros = self._spans = self._norms = None
 
     @property
     def d(self) -> int:
@@ -84,29 +94,56 @@ class FrequencySet:
         """Read-only (n, d) int64 view of the frequencies in natural order."""
         return self._arr
 
+    def _index(self) -> None:
+        """Build the nonzero store on first use and keep it, since the set never
+        changes: entries (one np.nonzero over the transposed array), each
+        column's view of them with its largest |k_t|, and the spans."""
+        if self._entries is not None:
+            return
+        cols, rows = np.nonzero(self._arr.T)
+        values = self._arr.T[cols, rows]
+        for a in (rows, cols, values):  # before the per-column views are cut
+            a.setflags(write=False)
+        cuts = np.searchsorted(cols, np.arange(1, self.d))
+        per_col = np.split(values, cuts)
+        spans = []
+        for v in per_col:
+            z = 0 if v.shape[0] < len(self) else v[0]  # 0 is in the range iff a row is 0 here
+            spans.append((int(v.min(initial=z)), int(v.max(initial=z))))
+        bounds = [max(-lo, hi) for lo, hi in spans]
+        self._nonzeros = tuple(zip(np.split(rows, cuts), per_col, bounds))
+        self._spans = np.array(spans, dtype=np.int64)
+        self._spans.setflags(write=False)
+        self._entries = rows, cols, values
+
+    @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero components k_{j,t} as read-only flat arrays (rows j,
+        columns t, values), column by column and in set order within one."""
+        self._index()
+        return self._entries
+
     def nonzeros(self, t: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Rows j with k_{j,t} != 0, in set order, those components, and their
-        largest |k_{j,t}| (0 for a zero column).
-
-        Built for every column at once on first use (one np.nonzero over the
-        transposed array) and kept, since the set never changes.
-        """
-        if self._nonzeros is None:
-            cols, rows = np.nonzero(self._arr.T)
-            values = self._arr.T[cols, rows]
-            rows.setflags(write=False)
-            values.setflags(write=False)
-            cuts = np.searchsorted(cols, np.arange(1, self.d))
-            per_col = np.split(values, cuts)
-            bounds = [int(np.abs(v).max(initial=0)) for v in per_col]
-            self._nonzeros = tuple(zip(np.split(rows, cuts), per_col, bounds))
+        largest |k_{j,t}| (0 for a zero column): column t of entries."""
+        self._index()
         return self._nonzeros[t]
 
     @property
+    def spans(self) -> np.ndarray:
+        """Read-only (d, 2) int64 array of min k_t and max k_t over the set, taken
+        over the entries and over 0 where a column has a zero component."""
+        self._index()
+        return self._spans
+
+    @property
     def row_norms(self) -> np.ndarray:
-        """Read-only L1 norm of every row, built on first use and kept."""
+        """Read-only L1 norm of every row, summed from the entries on first use
+        and kept."""
         if self._norms is None:
-            self._norms = np.abs(self._arr).sum(axis=1)
+            rows, _, values = self.entries
+            self._norms = np.zeros(len(self), dtype=np.int64)
+            np.add.at(self._norms, rows, np.abs(values))
             self._norms.setflags(write=False)
         return self._norms
 
@@ -186,7 +223,7 @@ def gen_cube(d: int, N: int) -> FrequencySet:
     grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - N
     # np.indices varies the first coordinate slowest, so rows come out in
     # natural order already and skip the re-sort.
-    return FrequencySet(grid)
+    return FrequencySet._owning(grid)
 
 
 def _axis_rows(D: int, N: int) -> np.ndarray:
@@ -206,7 +243,7 @@ def gen_axis_cross(d: int, N: int) -> FrequencySet:
         raise ValueError("need d >= 1, N >= 0")
     if 2 * d * N + 1 > SIZE_CAP:
         raise ValueError(f"gen_axis_cross(d={d}, N={N}) exceeds the size cap")
-    return FrequencySet(_axis_rows(d, N))
+    return FrequencySet._owning(_axis_rows(d, N))
 
 
 def gen_superposition2(d: int, N: int) -> FrequencySet:
@@ -235,7 +272,7 @@ def gen_superposition2(d: int, N: int) -> FrequencySet:
         rows[i:i + m, s + 1:] = np.tile(tail, (values.shape[0], 1))
         i += m
     assert i == n
-    return FrequencySet(rows)
+    return FrequencySet._owning(rows)
 
 
 def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> FrequencySet:
@@ -267,7 +304,7 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
         bound = num_p // den_q
         if bound == 0:
             rows.append(tuple(buf))
-            if len(rows) > SIZE_CAP:
+            if len(rows) * dmax > SIZE_CAP:
                 raise ValueError("gen_weighted_hyperbolic exceeds the size cap")
             return
         for k in range(-bound, bound + 1):
@@ -294,12 +331,13 @@ def difference_set(I: FrequencySet) -> FrequencySet:
 
 def expansion(I: FrequencySet) -> int:
     """N_I: the largest per-coordinate spread max k_t - min k_t."""
-    return int(np.ptp(I.array, axis=0).max())
+    spans = I.spans
+    return int((spans[:, 1] - spans[:, 0]).max())
 
 
 def max_abs(I: FrequencySet) -> int:
     """max over k in I of the max-norm of k; 0 iff I = {0}."""
-    return int(np.abs(I.array).max())  # |k_t| <= COMPONENT_LIMIT: no int64 overflow
+    return int(np.abs(I.spans).max())  # |k_t| <= COMPONENT_LIMIT: no int64 overflow
 
 
 def _chunk_text(block: np.ndarray) -> str:
@@ -431,13 +469,14 @@ def read_set(path) -> FrequencySet:
     with open(path, "rb") as fh:
         data = fh.read()
     rows = _read_layout(data)
-    if rows is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the line holding the bad byte, counted as _read_by_lines counts lines
-            line = len(io.StringIO(data[:exc.start].decode() + "x", newline=None).readlines())
-            raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-        rows = _read_by_lines(text, path)
-    del data  # before FrequencySet copies the rows, which sets the peak
-    return FrequencySet(rows)
+    if rows is not None:
+        del data  # before the set's checks, which set the peak
+        return FrequencySet._owning(rows)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line holding the bad byte, counted as _read_by_lines counts lines
+        line = len(io.StringIO(data[:exc.start].decode() + "x", newline=None).readlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    del data
+    return FrequencySet(_read_by_lines(text, path))

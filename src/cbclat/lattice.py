@@ -5,11 +5,13 @@ checked against, so all residue arithmetic is exact. One primitive,
 exact_operand, serves every (v + y k) mod M in the package: residues
 0 <= v, y < M times signed, unreduced components k stay in int64 while
 M (max|k| + 1) < 2^63, and are Python integers beyond that. The residues
-k . z mod M over a whole set are one matrix product under the same rule with
-the row norm ||k||_1 in place of max|k|; FrequencySet caches the row norms.
+k . z mod M over a whole set are summed from its nnz nonzero components
+(FrequencySet.entries) by one np.add.at, O(|I| + nnz), under the same rule
+with the row norm ||k||_1 in place of max|k|; FrequencySet caches the row
+norms.
 
 Sampling a polynomial on a lattice and reconstructing its coefficients are
-one length-M FFT each, O(M log M + |I| d); on a lattice without the
+one length-M FFT each, O(M log M + |I| + nnz); on a lattice without the
 reconstruction property, reconstruction returns aliased sums.
 """
 
@@ -39,13 +41,18 @@ def exact_operand(k: np.ndarray, M: int, bound: int | None = None) -> np.ndarray
 
 
 def _residues(I: FrequencySet, M: int, z) -> np.ndarray:
-    """k . z mod M for every row k of I as one matrix product. With z reduced
-    into [0, M), |partial sums| <= (M - 1) ||k||_1: int64 holds them while
-    M (max ||k||_1 + 1) < 2^63, Python ints beyond."""
+    """k . z mod M for every row k of I: the products k_t z_t of I's entries,
+    summed into their rows by one np.add.at, so a row without nonzeros (the
+    zero row) stays 0. With z reduced into [0, M), every partial sum of row k
+    lies within (M - 1) ||k||_1, so exact_operand with max ||k||_1 as its bound
+    picks int64 or Python ints."""
     M = int(M)
-    dtype = np.int64 if M * (int(I.row_norms.max()) + 1) < 2**63 else object
-    zr = np.array([int(zt) % M for zt in z], dtype=dtype)
-    return ((I.array.astype(dtype, copy=False) @ zr) % M).astype(np.int64, copy=False)
+    rows, cols, values = I.entries
+    k = exact_operand(values, M, int(I.row_norms.max()))
+    zr = np.array([int(zt) % M for zt in z], dtype=k.dtype)
+    out = np.zeros(len(I), dtype=k.dtype)
+    np.add.at(out, rows, k * zr[cols])
+    return (out % M).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ def eval_poly(p: TrigPolynomial, x) -> complex:
 def eval_on_lattice(p: TrigPolynomial, lat: Rank1Lattice) -> np.ndarray:
     """Sample p at every lattice node; index j holds p((j/M) z mod 1).
 
-    One length-M inverse FFT, O(M log M + |I| d): coefficients are summed
+    One length-M inverse FFT, O(M log M + |I| + nnz): coefficients are summed
     into their residues k . z mod M first, so frequencies that alias on a
     non-reconstructing lattice (integration lattices with M < |I| included)
     add up as they do in the samples.
@@ -185,7 +192,7 @@ def eval_on_lattice(p: TrigPolynomial, lat: Rank1Lattice) -> np.ndarray:
 def reconstruct_coeffs(lat: Rank1Lattice, I: FrequencySet, samples) -> np.ndarray:
     """Recover the coefficients of a polynomial supported on I from samples.
 
-    One length-M FFT, O(M log M + |I| d):
+    One length-M FFT, O(M log M + |I| + nnz):
     coeff_k = mean_j samples_j e^(-2 pi i j (k.z)/M) = fft(samples)[k.z mod M] / M.
     For samples of a polynomial supported on I, a lattice with the
     reconstruction property for I gives back its coefficients; on one without

@@ -87,17 +87,19 @@ def test_sorted_input_skips_the_resort(monkeypatch, tmp_path):
                                        if d >= 2 or g is gen_axis_cross])
 def test_generators_emit_natural_order(monkeypatch, gen, d, N):
     # The rows a generator hands to FrequencySet are already what the
-    # construction would make of them: sorted, without duplicates.
+    # construction would make of them: sorted, without duplicates. The set
+    # takes the generator's array as its own, with no copy.
     emitted = []
+    owning = FrequencySet._owning
 
     def spy(rows):
-        emitted.append(np.array(rows))
-        return FrequencySet(rows)
+        emitted.append(rows)
+        return owning(rows)
 
-    monkeypatch.setattr(freqset_mod, "FrequencySet", spy)
+    monkeypatch.setattr(FrequencySet, "_owning", spy)
     I = gen(d, N)
     assert np.array_equal(emitted[0], np.unique(emitted[0], axis=0))
-    assert np.array_equal(I.array, emitted[0])
+    assert I.array is emitted[0]
 
 
 def test_column_nonzeros():
@@ -115,6 +117,54 @@ def test_column_nonzeros():
     zero = FrequencySet([(0, 0)])
     assert zero.nonzeros(0)[0].shape == zero.nonzeros(1)[1].shape == (0,)
     assert zero.nonzeros(0)[2] == zero.nonzeros(1)[2] == 0
+
+
+def _store_sets():
+    """Sets for the nonzero-store tests, each with what it covers."""
+    rng = np.random.default_rng(11)
+    sets = {
+        "zero": FrequencySet([(0, 0, 0)]),
+        "zero-column": FrequencySet([(1, 0, -2), (0, 0, 3), (-4, 0, 0)]),
+        "no-zero-row": FrequencySet([(-3, 5), (2, 5)]),  # column 1 has no 0
+        "all-negative": FrequencySet([(-3, -1), (-7, -2), (-1, -9)]),
+        "cube": gen_cube(3, 2),  # dense: only the zero row's and the axes' zeros
+        "one-row": FrequencySet([(4, -4, 4)]),
+        "limits": FrequencySet([(COMPONENT_LIMIT, -COMPONENT_LIMIT), (0, COMPONENT_LIMIT)]),
+    }
+    for i in range(8):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+        arr = rng.integers(-9, 10, size=(n, d)) * (rng.random((n, d)) < rng.random())
+        sets[f"random-{i}"] = FrequencySet(arr)
+    return sets
+
+
+@pytest.mark.parametrize("name, I", list(_store_sets().items()))
+def test_store_statistics_match_dense_references(name, I):
+    A = I.array
+    assert max_abs(I) == int(np.abs(A).max())
+    assert expansion(I) == int(np.ptp(A, axis=0).max())
+    assert I.spans.tolist() == np.stack([A.min(axis=0), A.max(axis=0)], axis=1).tolist()
+    assert I.row_norms.tolist() == np.abs(A).sum(axis=1).tolist()
+    rows, cols, values = I.entries
+    assert not (rows.flags.writeable or cols.flags.writeable or values.flags.writeable)
+    assert not I.spans.flags.writeable
+    # Column-major order, set order within a column; nonzeros(t) is column t of it.
+    want_cols, want_rows = np.nonzero(A.T)
+    assert cols.tolist() == want_cols.tolist() and rows.tolist() == want_rows.tolist()
+    assert values.tolist() == A[rows, cols].tolist()
+    for t in range(I.d):
+        r, v, bound = I.nonzeros(t)
+        assert r.tolist() == np.flatnonzero(A[:, t]).tolist()
+        assert v.tolist() == A[r, t].tolist()
+        assert type(bound) is int and bound == int(np.abs(A[:, t]).max())
+
+
+def test_store_statistics_read_no_dense_array(monkeypatch):
+    # Once the store exists, the statistics read only it.
+    I = gen_superposition2(5, 2)
+    I.entries
+    monkeypatch.setattr(FrequencySet, "array", property(lambda self: pytest.fail("dense read")))
+    assert (max_abs(I), expansion(I), int(I.row_norms.max())) == (2, 4, 4)
 
 
 def test_row_norms():
@@ -297,13 +347,29 @@ def test_hyperbolic_pruned_descent_matches_bruteforce(weights, threshold, dmax, 
     # the tied weights make the bound reach 0 at different depths per branch.
     got = gen_weighted_hyperbolic(weights, threshold, dmax)
     assert got.items == whc_oracle(weights.gamma, threshold, dmax)
-    # The cap counts the same rows as the unpruned enumeration did.
-    n = len(got)
-    monkeypatch.setattr(freqset_mod, "SIZE_CAP", n)
+    # The cap counts the cells of the same rows as the unpruned enumeration did.
+    cells = len(got) * dmax
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", cells)
     assert gen_weighted_hyperbolic(weights, threshold, dmax) == got
-    monkeypatch.setattr(freqset_mod, "SIZE_CAP", n - 1)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", cells - 1)
     with pytest.raises(ValueError, match="size cap"):
         gen_weighted_hyperbolic(weights, threshold, dmax)
+
+
+def test_hyperbolic_cap_counts_cells(monkeypatch):
+    # Fewer rows than the cap but more cells is refused, as the other
+    # generators refuse; with the cap at 10^8 cells the set below would stop
+    # after 5 * 10^6 rows instead of exhausting memory.
+    w = WeightSpec.explicit([1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
+                            + [Fraction(1, 4)] * 20)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", 24 * 1000)
+    with pytest.raises(ValueError, match="gen_weighted_hyperbolic exceeds the size cap"):
+        gen_weighted_hyperbolic(w, 1000, 24)
+    small = gen_weighted_hyperbolic(WeightSpec.inverse_square(), 4, 3)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", len(small) * 3 - 1)
+    assert len(small) < freqset_mod.SIZE_CAP
+    with pytest.raises(ValueError, match="size cap"):
+        gen_weighted_hyperbolic(WeightSpec.inverse_square(), 4, 3)
 
 
 def _whc_fraction_descent(weights, threshold, dmax):
@@ -490,6 +556,21 @@ def test_size_caps(monkeypatch):
 
 
 # --- file I/O -------------------------------------------------------------
+
+def test_read_set_takes_the_parsed_rows_without_a_copy(tmp_path, monkeypatch):
+    # The byte parse's fresh array becomes the set's own; only the
+    # line-by-line path converts (and so copies) its rows.
+    I = gen_superposition2(4, 2)
+    write_set(I, tmp_path / "set.txt")
+    converted = []
+    integers = freqset_mod._integers
+    monkeypatch.setattr(freqset_mod, "_integers", lambda v: converted.append(1) or integers(v))
+    J = read_set(tmp_path / "set.txt")
+    assert J == I and converted == []
+    assert not J.array.flags.writeable
+    (tmp_path / "other.txt").write_text("# a comment\n" + (tmp_path / "set.txt").read_text())
+    assert read_set(tmp_path / "other.txt") == I and converted == [1]
+
 
 def test_write_then_read_round_trip(tmp_path):
     I = gen_superposition2(3, 2)
@@ -769,9 +850,9 @@ def test_read_set_memory_stays_within_a_chunk(tmp_path):
 
 
 def test_read_set_drops_the_bytes_before_the_copy(tmp_path):
-    # FrequencySet's copy of the parsed rows sets read_set's peak (18.2 MB
-    # here in tracemalloc); the file's 2 MB of bytes still held then would
-    # raise it to 20.2 MB.
+    # The parsed rows and the set's checks on them set read_set's peak (11.8 MB
+    # here in tracemalloc, 18.2 MB when the set copied the rows); the file's
+    # 2 MB of bytes still held then would raise it to 13.7 MB.
     path = tmp_path / "set.txt"
     I = gen_cube(5, 5)
     write_set(I, path)
@@ -782,7 +863,7 @@ def test_read_set_drops_the_bytes_before_the_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert J == I
-    assert peak < 3 * I.array.nbytes
+    assert peak < 2 * I.array.nbytes
 
 
 def _read_by_int(path):

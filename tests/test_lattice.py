@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbclat.lattice as lattice_mod
 from cbclat.freqset import COMPONENT_LIMIT, FrequencySet, difference_set, gen_cube
 from cbclat.lattice import (
     INT64_SAFE_M,
@@ -230,6 +231,52 @@ def test_residues_and_verifiers_at_row_norm_bound(M, kmax, side):
     assert len(verdicts) == 4
     # Components of z are reduced mod M before the product.
     assert _residues(I, M, [zt + M for zt in zs[0]]).tolist() == _residues(I, M, zs[0]).tolist()
+
+
+def _store_cases():
+    """(set, M) pairs for the residue differential test: sparse and dense sets,
+    {0}, an all-zero column, a column with no zero row, negative components,
+    and M on both sides of the int64 bound M (max ||k||_1 + 1) < 2^63."""
+    rng = np.random.default_rng(5)
+    sets = [FrequencySet([(0, 0)]), FrequencySet([(1, 0, -2), (0, 0, 3), (-4, 0, 0)]),
+            FrequencySet([(-3, 5), (2, 5)]), FrequencySet([(-3, -1), (-7, -2), (-1, -9)]),
+            gen_cube(3, 2)]
+    for _ in range(4):
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        sets.append(FrequencySet(rng.integers(-50, 51, size=(n, d))
+                                 * (rng.random((n, d)) < 0.4)))
+    cases = []
+    for I in sets:
+        norm = int(I.row_norms.max())
+        edge = (2**63 - 1) // (norm + 1)  # the largest M with an int64 sum
+        cases += [(I, 7), (I, nextprime(10**6)), (I, _prevprime(edge))]
+        cases += [(I, nextprime(edge)), (I, nextprime(2**62))] if norm else []
+    return cases
+
+
+def test_residues_match_python_int_matmul(monkeypatch):
+    # exact_operand's dtype shows which side of the int64 bound each case took.
+    dtypes = []
+    operand = lattice_mod.exact_operand
+    monkeypatch.setattr(lattice_mod, "exact_operand",
+                        lambda *a: dtypes.append(operand(*a).dtype) or operand(*a))
+    rng = random.Random(8)
+    for I, M in _store_cases():
+        A = [list(map(int, row)) for row in I.array]
+        norm = int(I.row_norms.max())
+        for z in [[rng.randrange(M) for _ in range(I.d)], [M - 1] * I.d,
+                  [rng.randrange(-3 * M, 3 * M) for _ in range(I.d)]]:
+            want = [sum(k * zt for k, zt in zip(row, z)) % M for row in A]
+            got = _residues(I, M, z)
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert dtypes.pop() == (np.int64 if M * (norm + 1) < 2**63 else object)
+
+
+def test_residues_read_no_dense_array(monkeypatch):
+    I = gen_cube(2, 3)
+    want = _residues(I, 101, [1, 7]).tolist()
+    monkeypatch.setattr(FrequencySet, "array", property(lambda self: pytest.fail("dense read")))
+    assert _residues(I, 101, [1, 7]).tolist() == want
 
 
 def test_numpy_integer_lattice_size():
