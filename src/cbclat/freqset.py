@@ -18,11 +18,12 @@ import numpy as np
 SIZE_CAP = 10**8
 
 # Components are capped so that v + y*k for residues v, y < M stays in int64
-# for every M < 2^32 (lattice.exact_operand); larger M use Python ints. A dot
-# product k . z is int64 while M (max ||k||_1 + 1) < 2^63 (cached row_norms).
+# for every M < 2^32 (lattice.exact_operand): it runs in int32 while
+# M (max|k| + 1) < 2^31, in int64 while that is < 2^63, in Python ints beyond.
+# A dot product k . z takes the same tiers with max ||k||_1 (cached row_norms).
 COMPONENT_LIMIT = 2**31 - 1
 
-_CHUNK_CELLS = 1 << 16  # components per chunk of format_set's text: bounds its memory
+_CHUNK_CELLS = 1 << 16  # components per chunk: format_set's text, gen_weighted_hyperbolic's rows
 _CHUNK_BYTES = 1 << 17  # bytes of whole lines per chunk of read_set's parse: bounds its memory
 # 10..10^17: a parsed digit at place p weighs 10^p; a written component
 # (|v| < 10^10) has 1 + #{p <= |v|} digits, counted against 10..10^9 alone.
@@ -101,7 +102,9 @@ class FrequencySet:
         if self._entries is not None:
             return
         cols, rows = np.nonzero(self._arr.T)
-        values = self._arr.T[cols, rows]
+        # int32 holds every |k_t| <= COMPONENT_LIMIT, and is exact_operand's
+        # narrowest tier, which then takes the values without a copy.
+        values = self._arr.T[cols, rows].astype(np.int32)
         for a in (rows, cols, values):  # before the per-column views are cut
             a.setflags(write=False)
         cuts = np.searchsorted(cols, np.arange(1, self.d))
@@ -119,7 +122,7 @@ class FrequencySet:
     @property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero components k_{j,t} as read-only flat arrays (rows j,
-        columns t, values), column by column and in set order within one."""
+        columns t, int32 values), column by column and in set order within one."""
         self._index()
         return self._entries
 
@@ -143,7 +146,8 @@ class FrequencySet:
         if self._norms is None:
             rows, _, values = self.entries
             self._norms = np.zeros(len(self), dtype=np.int64)
-            np.add.at(self._norms, rows, np.abs(values))
+            # int64 terms: np.add.at on a dtype other than the target's is ~20x slower
+            np.add.at(self._norms, rows, np.abs(values, dtype=np.int64))
             self._norms.setflags(write=False)
         return self._norms
 
@@ -282,7 +286,9 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
     dmax-dimensional set, depth-first with an exact rational budget num/den in
     Python ints, so no floating point decides the boundary. A row ends at the
     first coordinate whose bound floor(budget*gamma_j) is 0: the weights never
-    increase.
+    increase. Rows come out in natural order, as tuples that are written into
+    one growing int64 array every _CHUNK_CELLS components, so at most one
+    chunk is held as Python objects.
     """
     thr = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     if thr <= 0:
@@ -291,11 +297,26 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
         raise ValueError("threshold < 1 would produce an empty set")
     if dmax < 1:
         raise ValueError("need dmax >= 1")
+    # The budget only shrinks and the weights never increase, so coordinate 1
+    # takes the largest component, floor(threshold gamma_1).
+    if int(thr * weights.gamma(1)) > COMPONENT_LIMIT:
+        raise ValueError(f"frequency components must satisfy |k_t| <= {COMPONENT_LIMIT}")
     # gamma_j = p/q; the weight 0 past dmax ends every row there.
     gammas = [weights.gamma(j).as_integer_ratio() for j in range(1, dmax + 1)] + [(0, 1)]
 
+    arr = np.empty((0, dmax), dtype=np.int64)
     rows: list[tuple[int, ...]] = []
     buf = [0] * dmax
+    chunk = max(1, _CHUNK_CELLS // dmax)
+
+    def flush() -> None:
+        # arr grows in place by the chunk; no view of it exists, so it may move.
+        n = arr.shape[0]
+        arr.resize((n + len(rows), dmax), refcheck=False)
+        arr[n:] = rows
+        rows.clear()
+        if arr.shape[0] * dmax > SIZE_CAP:
+            raise ValueError("gen_weighted_hyperbolic exceeds the size cap")
 
     def descend(j: int, num: int, den: int) -> None:
         # num/den = threshold / (product of factors fixed so far), always >= 1.
@@ -304,8 +325,8 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
         bound = num_p // den_q
         if bound == 0:
             rows.append(tuple(buf))
-            if len(rows) * dmax > SIZE_CAP:
-                raise ValueError("gen_weighted_hyperbolic exceeds the size cap")
+            if len(rows) == chunk:
+                flush()
             return
         for k in range(-bound, bound + 1):
             buf[j] = k
@@ -316,7 +337,9 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
         buf[j] = 0
 
     descend(0, thr.numerator, thr.denominator)
-    return FrequencySet(rows)
+    if rows:
+        flush()
+    return FrequencySet._owning(arr)
 
 
 def difference_set(I: FrequencySet) -> FrequencySet:

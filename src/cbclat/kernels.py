@@ -24,8 +24,10 @@ from all-zero residues (one prefix, the empty one), checked at z_1 = 1 and
 committed whatever the verdict, so each mode's rule lives once.
 
 Components pass through lattice.exact_operand once per step, with the max|k_l|
-that FrequencySet.nonzeros keeps: int64 while M (max|k_l| + 1) < 2^63, Python
-ints beyond, so (v + y k) mod M stays exact.
+that FrequencySet.nonzeros keeps: int32 while M (max|k_l| + 1) < 2^31, int64
+while it is < 2^63, Python ints beyond, and the step's residues v take the same
+dtype, so (v + y k) mod M stays exact and the sort runs on the narrowest
+integers that hold it. The buffer stays int64 whatever the tier.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class ResidueState:
 class Step(NamedTuple):
     """A step's y-independent part: the rows the verdict reads, their residues v
     and components k, and the rows with k_l != 0 (the rows y moves) with their
-    components dk; k and dk are signed and exact_operand's, so v + y k is exact.
+    components dk; v, k and dk are signed and in exact_operand's dtype, so
+    v + y k is exact.
     v is a copy, stale once the step is committed."""
 
     state: ResidueState
@@ -88,15 +91,15 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     moved, values, bound = I.nonzeros(ell)
     dk = exact_operand(values, state.M, bound)
     if mode == MODE_INTEGRATION:
-        return Step(state, moved, state.values[moved], dk, moved, dk)
+        return Step(state, moved, state.values[moved].astype(dk.dtype, copy=False), dk, moved, dk)
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
-    nu, col = state.values, np.zeros(len(I), dtype=values.dtype)
-    col[moved] = values
+    # col is column ell in dk's dtype: dk's values and zeros, so it stays exact.
+    nu, col = state.values, np.zeros(len(I), dtype=dk.dtype)
+    col[moved] = dk
     rows = np.ones(nu.shape[0], dtype=bool)
     rows[1:] = (nu[1:] != nu[:-1]) | (col[1:] != col[:-1])
-    # col holds the values dk holds and zeros, so dk's dtype keeps it exact.
-    return Step(state, rows, nu[rows], col[rows].astype(dk.dtype, copy=False), moved, dk)
+    return Step(state, rows, nu[rows].astype(dk.dtype, copy=False), col[rows], moved, dk)
 
 
 def _shifted(step: Step, y: int) -> np.ndarray:

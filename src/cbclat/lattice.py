@@ -3,12 +3,13 @@
 The direct verifiers here are the ground truth the randomized search is
 checked against, so all residue arithmetic is exact. One primitive,
 exact_operand, serves every (v + y k) mod M in the package: residues
-0 <= v, y < M times signed, unreduced components k stay in int64 while
-M (max|k| + 1) < 2^63, and are Python integers beyond that. The residues
-k . z mod M over a whole set are summed from its nnz nonzero components
-(FrequencySet.entries) by one np.add.at, O(|I| + nnz), under the same rule
-with the row norm ||k||_1 in place of max|k|; FrequencySet caches the row
-norms.
+0 <= v, y < M times signed, unreduced components k run in int32 while
+M (max|k| + 1) < 2^31, in int64 while it is < 2^63, and in Python integers
+beyond that, so each check runs on the narrowest integers that hold it exactly.
+The residues k . z mod M over a whole set are summed from its nnz nonzero
+components (FrequencySet.entries) by one np.add.at, O(|I| + nnz), under the
+same rule with the row norm ||k||_1 in place of max|k|; FrequencySet caches
+the row norms.
 
 Sampling a polynomial on a lattice and reconstructing its coefficients are
 one length-M FFT each, O(M log M + |I| + nnz); on a lattice without the
@@ -29,15 +30,19 @@ INT64_SAFE_M = 3037000499
 
 
 def exact_operand(k: np.ndarray, M: int, bound: int | None = None) -> np.ndarray:
-    """k in a dtype where v + y*k is exact for residues 0 <= v, y < M.
+    """k in the narrowest dtype where v + y*k is exact for residues 0 <= v, y < M.
 
-    |v + y k| <= (M - 1)(max|k| + 1), so int64 holds it while
-    M (max|k| + 1) < 2^63; beyond that k becomes an array of Python ints and
-    the same expression runs on them. bound is max|k| when the caller keeps it.
+    |v + y k| <= (M - 1)(max|k| + 1), so int32 holds it while
+    M (max|k| + 1) < 2^31 and int64 while it is < 2^63; beyond that k becomes
+    an array of Python ints and the same expression runs on them. bound is
+    max|k| when the caller keeps it.
     """
     if bound is None:
         bound = int(np.abs(k).max(initial=0))
-    return k if int(M) * (bound + 1) < 2**63 else k.astype(object)
+    width = int(M) * (bound + 1)
+    if width >= 2**63:
+        return k.astype(object)
+    return k.astype(np.int32 if width < 2**31 else np.int64, copy=False)
 
 
 def _residues(I: FrequencySet, M: int, z) -> np.ndarray:
@@ -45,7 +50,7 @@ def _residues(I: FrequencySet, M: int, z) -> np.ndarray:
     summed into their rows by one np.add.at, so a row without nonzeros (the
     zero row) stays 0. With z reduced into [0, M), every partial sum of row k
     lies within (M - 1) ||k||_1, so exact_operand with max ||k||_1 as its bound
-    picks int64 or Python ints."""
+    picks int32, int64 or Python ints."""
     M = int(M)
     rows, cols, values = I.entries
     k = exact_operand(values, M, int(I.row_norms.max()))

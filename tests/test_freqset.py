@@ -110,6 +110,7 @@ def test_column_nonzeros():
         assert rows.tolist() == np.flatnonzero(I.array[:, t]).tolist()
         assert values.tolist() == I.array[rows, t].tolist()
         assert not rows.flags.writeable and not values.flags.writeable
+        assert values.dtype == np.int32  # every |k_t| <= COMPONENT_LIMIT fits
         assert type(bound) is int and bound == np.abs(I.array[:, t]).max()
     assert I.nonzeros(1)[0].tolist() == [0]
     assert I.nonzeros(2)[1].tolist() == [3, -2]
@@ -405,19 +406,59 @@ def _whc_weight(weights, k):
     WeightSpec.explicit([Fraction(3, 2), Fraction(5, 4), Fraction(1, 5), Fraction(1, 9)]),
 ], ids=["inverse-square", "explicit", "explicit-above-one"])
 def test_hyperbolic_integer_budget_matches_fraction_descent(weights, monkeypatch):
-    # The rows in the order the generator emits them, which must be natural.
+    # The rows in the order the generator emits them, which must be natural;
+    # the set takes the generator's array as its own.
     emitted = []
-    monkeypatch.setattr(freqset_mod, "FrequencySet", lambda rows: emitted.append(rows) or rows)
+    owning = FrequencySet._owning
+    monkeypatch.setattr(FrequencySet, "_owning", lambda rows: emitted.append(rows) or owning(rows))
     on_boundary = 0
     for thr in (1, 3, 36, 50, Fraction(77, 3), Fraction(401, 2)):
         want = _whc_fraction_descent(weights, thr, 4)
-        assert gen_weighted_hyperbolic(weights, thr, 4) == want == sorted(want)
+        I = gen_weighted_hyperbolic(weights, thr, 4)
+        assert I.array is emitted[-1]
+        assert list(map(tuple, emitted[-1].tolist())) == want == sorted(want)
         row_weights = [_whc_weight(weights, k) for k in want]
         assert max(row_weights) <= thr
         # rows whose weight is the threshold exactly: the budget reaches 1
         on_boundary += row_weights.count(thr)
     assert on_boundary > 0
     assert len(emitted) == 6
+
+
+@pytest.mark.parametrize("weights, threshold, dmax", [
+    (WeightSpec.inverse_square(), 200, 14),
+    (WeightSpec.inverse_square(), 8, 3),
+    (WeightSpec.explicit([1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
+                         + [Fraction(1, 4)] * 20), 20, 24),
+    (WeightSpec.explicit([Fraction(3, 2), Fraction(5, 4), Fraction(1, 5), Fraction(1, 9)]),
+     Fraction(401, 2), 4),
+], ids=["whc-roundtrip", "whc-warm", "explicit-24", "explicit-above-one"])
+def test_hyperbolic_chunks_match_one_chunk(weights, threshold, dmax, monkeypatch):
+    # The rows are written into the set's array one chunk of _CHUNK_CELLS
+    # components at a time: chunks of one row, of 3 rows and of all rows (the
+    # first and last leave no partial chunk at the end) give the same set.
+    whole = gen_weighted_hyperbolic(weights, threshold, dmax)
+    n = len(whole)
+    for rows in (1, 3, n):
+        monkeypatch.setattr(freqset_mod, "_CHUNK_CELLS", rows * dmax)
+        assert np.array_equal(gen_weighted_hyperbolic(weights, threshold, dmax).array, whole.array)
+        # The cap still counts every cell, whichever chunk holds the last row.
+        monkeypatch.setattr(freqset_mod, "SIZE_CAP", n * dmax - 1)
+        with pytest.raises(ValueError, match="size cap"):
+            gen_weighted_hyperbolic(weights, threshold, dmax)
+        monkeypatch.setattr(freqset_mod, "SIZE_CAP", n * dmax)
+        assert len(gen_weighted_hyperbolic(weights, threshold, dmax)) == n
+
+
+def test_hyperbolic_refuses_components_past_the_limit(monkeypatch):
+    # floor(threshold gamma_1) is the largest component: past COMPONENT_LIMIT
+    # the set is refused at once, before any row is enumerated.
+    w = WeightSpec.explicit([Fraction(1, 2)])
+    with pytest.raises(ValueError, match="frequency components must satisfy"):
+        gen_weighted_hyperbolic(w, 2 * COMPONENT_LIMIT + 2, 1)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", 1000)
+    with pytest.raises(ValueError, match="size cap"):
+        gen_weighted_hyperbolic(w, 2 * COMPONENT_LIMIT + 1, 1)
 
 
 def test_hyperbolic_weights_above_one_match_bruteforce():

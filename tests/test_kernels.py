@@ -23,7 +23,7 @@ from cbclat.lattice import (
     verify_integration,
     verify_reconstruction,
 )
-from cbclat.primes import nextprime
+from cbclat.primes import is_prime, nextprime
 from cbclat.search import CbcConfig, CbcResult, cbc_construct, cbc_construct_basic, \
     two_step_permutation
 
@@ -480,8 +480,8 @@ def test_drivers_match_reference_kernel_and_driver():
     assert compared == 120 * 2 * 3 * 2
 
 
-def _big_instance(rng, d, n):
-    near = [COMPONENT_LIMIT - rng.randrange(8) for _ in range(n * d)]
+def _big_instance(rng, d, n, limit=COMPONENT_LIMIT):
+    near = [limit - rng.randrange(8) for _ in range(n * d)]
     rows = [[rng.choice((-1, 1)) * near[i * d + t] if rng.random() < 0.8 else rng.randrange(-2, 3)
              for t in range(d)] for i in range(n)]
     # two rows sharing a prefix, so the reconstruction dedup has work to do
@@ -492,21 +492,21 @@ def _big_instance(rng, d, n):
     return FrequencySet(rows)
 
 
-def _walk_near_bound(M, mode, rng, dtype):
-    # Components within 8 of the component limit. At every step the tested
-    # candidates are one forced to fail (a residue driven to 0, or two
-    # prefixes driven onto one residue), M - 1, M - 2 and random ones; every
-    # verdict must match the direct verifier on the projected set, and every
-    # carried state the recomputed residues. dtype is the one the step's
-    # components must be computed in.
-    I = _big_instance(rng, 4, 12)
+def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
+    # Components within 8 of limit, the component limit by default. At every
+    # step the tested candidates are one forced to fail (a residue driven to
+    # 0, or two prefixes driven onto one residue), M - 1, M - 2 and random
+    # ones; every verdict must match the direct verifier on the projected set,
+    # and every carried state the recomputed residues. dtype is the one the
+    # step's residues and components must be computed in.
+    I = _big_instance(rng, 4, 12, limit)
     ok, state = init_residues(I, M, mode)
     assert ok
     z = [1]
     verdicts = []
     for ell in range(1, I.d):
         step = prepare_step(state, I, ell, mode)
-        assert step.k.dtype == step.dk.dtype == dtype
+        assert step.v.dtype == step.k.dtype == step.dk.dtype == dtype
         # The step takes column ell from I.nonzeros: it must match the dense array.
         assert step.k.tolist() == I.array[step.rows, ell].tolist()
         assert step.dk.tolist() == I.array[step.moved, ell].tolist()
@@ -534,6 +534,7 @@ def _walk_near_bound(M, mode, rng, dtype):
         z.append(accepted[0])
         commit(step, accepted[1])
         padded = z + [0] * (I.d - len(z))
+        assert state.values.dtype == np.int64
         assert state.values.tolist() == _residues(I, M, padded).tolist()
     assert _verifier(mode)(Rank1Lattice(M, tuple(z)), I)
     assert (1, M - 1, False) in verdicts
@@ -555,3 +556,24 @@ def test_kernels_exact_past_component_bound(mode):
     M = nextprime(2**32)
     assert M * (COMPONENT_LIMIT - 6) >= 2**63
     _walk_near_bound(M, mode, random.Random(1618 if mode == "integration" else 1414), object)
+
+
+def _prevprime(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("mode", ["integration", "reconstruction"])
+@pytest.mark.parametrize("side", ["int32", "int64"])
+def test_kernels_exact_at_int32_bound(mode, side):
+    # Components within 8 of 4096: M (4096 + 1) < 2^31 keeps every step in
+    # int32, where y = M - 1 takes v + y k to the edge of int32, and
+    # M (4096 - 7 + 1) >= 2^31, 0.2 % further on, takes every step to int64.
+    limit = 4096
+    if side == "int32":
+        M = _prevprime((2**31 - 1) // (limit + 1))
+    else:
+        M = nextprime((2**31 - 1) // (limit - 6))
+    seed = {"int32": 5, "int64": 7}[side] + (mode == "integration")
+    _walk_near_bound(M, mode, random.Random(seed), np.dtype(side), limit)

@@ -66,6 +66,21 @@ def test_nodes_examples():
     assert np.all(nodes(Rank1Lattice(13, (1, 5))) < 1)
 
 
+@pytest.mark.parametrize("M, side", [(46337, "int32"), (46349, "int64")])
+def test_nodes_exact_at_int32_bound(M, side, monkeypatch):
+    # The primes around M^2 = 2^31: j z_t for j, z_t < M fits int32 below it
+    # and not above, so z near M - 1 would wrap in the wrong tier.
+    assert is_prime(M) and (M * M < 2**31) == (side == "int32")
+    dtypes = []
+    operand = lattice_mod.exact_operand
+    monkeypatch.setattr(lattice_mod, "exact_operand",
+                        lambda *a: dtypes.append(operand(*a).dtype) or operand(*a))
+    z = (1, M - 1, M - 2, 40503)
+    want = np.array([[j * zt % M for zt in z] for j in range(M)]) / M
+    assert np.array_equal(nodes(Rank1Lattice(M, z)), want)
+    assert dtypes == [side]
+
+
 def test_cubature_constant_and_length_check():
     lat = Rank1Lattice(5, (1, 2))
     assert cubature(lat, [3 + 1j] * 5) == 3 + 1j
@@ -143,14 +158,24 @@ def _prevprime(n):
     return n
 
 
-# (M, largest |k|, dtype exact_operand must pick) on both sides of its bound
+def _tier(width):
+    """The dtype exact_operand must pick when M (bound + 1) = width."""
+    return np.dtype(np.int32 if width < 2**31 else np.int64 if width < 2**63 else object)
+
+
+# (M, largest |k|, dtype exact_operand must pick) on both sides of its bounds
 # M (max|k| + 1) < 2^63: |k| at COMPONENT_LIMIT around 2^32, and |k| <= 64
-# around floor((2^63 - 1) / 65).
+# around floor((2^63 - 1) / 65); and M (max|k| + 1) < 2^31: |k| <= 64 around
+# floor((2^31 - 1) / 65), and |k| <= 3 around floor((2^31 - 1) / 4).
 BOUND_CASES = [
     (4294967291, COMPONENT_LIMIT, np.int64),
     (4294967311, COMPONENT_LIMIT, object),
     (_prevprime((2**63 - 1) // 65), 64, np.int64),
     (nextprime((2**63 - 1) // 65), 64, object),
+    (_prevprime((2**31 - 1) // 65), 64, np.int32),
+    (nextprime((2**31 - 1) // 65), 64, np.int64),
+    (_prevprime((2**31 - 1) // 4), 3, np.int32),
+    (nextprime((2**31 - 1) // 4), 3, np.int64),
 ]
 
 
@@ -178,7 +203,8 @@ def _bound_instance(M, kmax, seed):
 
 
 @pytest.mark.parametrize("M, kmax, side", BOUND_CASES,
-                         ids=["int64-2^32", "object-2^32", "int64-k64", "object-k64"])
+                         ids=["int64-2^32", "object-2^32", "int64-k64", "object-k64",
+                              "int32-k64", "int64-k64-2^31", "int32-k3", "int64-k3-2^31"])
 def test_residues_and_verifiers_at_int64_bound(M, kmax, side):
     I, A, zs = _bound_instance(M, kmax, M % 1000)
     assert int(np.abs(I.array).max()) == kmax
@@ -198,8 +224,9 @@ def test_residues_and_verifiers_at_int64_bound(M, kmax, side):
 
 # (M, largest |k|, dtype of the dot product) for _bound_instance's sets, whose
 # largest row norm is 3 |k|: both sides of M (max ||k||_1 + 1) < 2^63 for
-# |k| up to COMPONENT_LIMIT and up to 3, and two lattice sizes where max|k|
-# still fits exact_operand's int64 bound but the row norm would overflow it.
+# |k| up to COMPONENT_LIMIT and up to 3, and of M (max ||k||_1 + 1) < 2^31
+# for |k| up to 64 and up to 3; and lattice sizes where max|k| still fits
+# exact_operand's int64 (or int32) bound but the row norm would overflow it.
 DOT_CASES = [
     (_prevprime((2**63 - 1) // (3 * COMPONENT_LIMIT + 1)), COMPONENT_LIMIT, "int64"),
     (nextprime((2**63 - 1) // (3 * COMPONENT_LIMIT + 1)), COMPONENT_LIMIT, "object"),
@@ -207,17 +234,22 @@ DOT_CASES = [
     (_prevprime((2**63 - 1) // 10), 3, "int64"),
     (nextprime((2**63 - 1) // 10), 3, "object"),
     (_prevprime((2**63 - 1) // 4), 3, "object"),
+    (_prevprime((2**31 - 1) // (3 * 64 + 1)), 64, "int32"),
+    (nextprime((2**31 - 1) // (3 * 64 + 1)), 64, "int64"),
+    (_prevprime((2**31 - 1) // 10), 3, "int32"),
+    (nextprime((2**31 - 1) // 10), 3, "int64"),
 ]
 
 
 @pytest.mark.parametrize("M, kmax, side", DOT_CASES,
                          ids=["int64-limit", "object-limit", "object-limit-2^32",
-                              "int64-k3", "object-k3", "object-k3-2^61"])
+                              "int64-k3", "object-k3", "object-k3-2^61",
+                              "int32-k64", "int64-k64-2^31", "int32-k3", "int64-k3-2^31"])
 def test_residues_and_verifiers_at_row_norm_bound(M, kmax, side):
     I, A, zs = _bound_instance(M, kmax, M % 1000)
     assert int(I.row_norms.max()) == 3 * kmax
-    assert exact_operand(I.array, M).dtype == np.int64
-    assert (M * (3 * kmax + 1) < 2**63) == (side == "int64")
+    assert exact_operand(I.array, M).dtype == _tier(M * (kmax + 1))
+    assert exact_operand(I.row_norms, M).dtype == _tier(M * (3 * kmax + 1)) == side
     verdicts = set()
     for z in zs:
         want = [sum(k * zt for k, zt in zip(row, z)) % M for row in A]
@@ -236,7 +268,8 @@ def test_residues_and_verifiers_at_row_norm_bound(M, kmax, side):
 def _store_cases():
     """(set, M) pairs for the residue differential test: sparse and dense sets,
     {0}, an all-zero column, a column with no zero row, negative components,
-    and M on both sides of the int64 bound M (max ||k||_1 + 1) < 2^63."""
+    and M on both sides of the int32 and int64 bounds M (max ||k||_1 + 1) < 2^31
+    and < 2^63."""
     rng = np.random.default_rng(5)
     sets = [FrequencySet([(0, 0)]), FrequencySet([(1, 0, -2), (0, 0, 3), (-4, 0, 0)]),
             FrequencySet([(-3, 5), (2, 5)]), FrequencySet([(-3, -1), (-7, -2), (-1, -9)]),
@@ -249,13 +282,15 @@ def _store_cases():
     for I in sets:
         norm = int(I.row_norms.max())
         edge = (2**63 - 1) // (norm + 1)  # the largest M with an int64 sum
+        edge32 = (2**31 - 1) // (norm + 1)  # and with an int32 sum
+        cases += [(I, _prevprime(edge32)), (I, nextprime(edge32))]
         cases += [(I, 7), (I, nextprime(10**6)), (I, _prevprime(edge))]
         cases += [(I, nextprime(edge)), (I, nextprime(2**62))] if norm else []
     return cases
 
 
 def test_residues_match_python_int_matmul(monkeypatch):
-    # exact_operand's dtype shows which side of the int64 bound each case took.
+    # exact_operand's dtype shows which tier each case took.
     dtypes = []
     operand = lattice_mod.exact_operand
     monkeypatch.setattr(lattice_mod, "exact_operand",
@@ -269,7 +304,7 @@ def test_residues_match_python_int_matmul(monkeypatch):
             want = [sum(k * zt for k, zt in zip(row, z)) % M for row in A]
             got = _residues(I, M, z)
             assert got.dtype == np.int64 and got.tolist() == want
-            assert dtypes.pop() == (np.int64 if M * (norm + 1) < 2**63 else object)
+            assert dtypes.pop() == _tier(M * (norm + 1))
 
 
 def test_residues_read_no_dense_array(monkeypatch):
