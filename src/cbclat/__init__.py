@@ -43,7 +43,6 @@ from .lattice import (
 )
 from .primes import is_prime, nextprime
 from .search import (
-    CbcConfig,
     CbcResult,
     cbc_construct,
     cbc_construct_basic,
@@ -62,7 +61,7 @@ __all__ = [
     "verify_reconstruction", "eval_poly", "eval_on_lattice", "reconstruct_coeffs",
     "ResidueState", "Step", "init_residues", "prepare_step", "check_exactness_integration",
     "check_exactness_reconstruction", "commit", "MODE_INTEGRATION", "MODE_RECONSTRUCTION",
-    "CbcConfig", "CbcResult", "two_step_permutation", "cbc_construct", "cbc_construct_basic",
+    "CbcResult", "two_step_permutation", "cbc_construct", "cbc_construct_basic",
     "cbc_exhaustive", "estimate_failure_bound",
     "is_prime", "nextprime", "initial_size", "heuristic_search", "SearchOutcome",
     "TrailEntry",

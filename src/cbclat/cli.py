@@ -23,7 +23,7 @@ from . import freqset, lattice
 from .heuristic import SearchOutcome, TrailEntry, heuristic_search, verifier
 from .kernels import MODE_RECONSTRUCTION, MODES
 from .primes import is_prime
-from .search import CbcConfig, cbc_construct
+from .search import cbc_construct
 
 # The families generated from --d and --N; whc is generated from --threshold.
 GRID_FAMILIES = {"cube": freqset.gen_cube, "axiscross": freqset.gen_axis_cross,
@@ -156,11 +156,10 @@ def cmd_construct(args) -> int:
     if not is_prime(args.M):
         print(f"warning: M = {args.M} is not prime; proceeding anyway", file=sys.stderr)
     seed = _seed_or_entropy(args.seed)
-    cfg = CbcConfig(M=args.M, T=min(args.T, args.M), mode=args.mode, seed=seed)
     started = time.perf_counter()
-    result = cbc_construct(I, cfg)
+    result = cbc_construct(I, args.M, min(args.T, args.M), args.mode, random.Random(seed))
     seconds = time.perf_counter() - started
-    outcome = SearchOutcome(result.status, result.M, result.z,
+    outcome = SearchOutcome(result.status, args.M, result.z,
                             (TrailEntry(args.M, 1, result.success, seconds),), args.mode)
     # Unlike heuristic_search, cbc_construct does not verify its result.
     verified = result.success and verifier(args.mode)(lattice.Rank1Lattice(args.M, result.z), I)

@@ -369,8 +369,9 @@ def _chunk_text(block: np.ndarray) -> str:
     flat = block.ravel()
     neg = flat < 0
     mag = np.abs(flat).astype(np.int32)  # |v| <= COMPONENT_LIMIT < 2^31
-    digits = np.searchsorted(_POW10[:9], mag, side="right") + 1
-    last = np.cumsum(digits + neg + 1) - 2  # each component's last digit
+    digits = np.searchsorted(_POW10[:9], mag, side="right").astype(np.int32) + 1
+    last = np.cumsum(digits + neg + 1, dtype=np.int32)  # int32: a chunk is < 2^16 * 12 bytes
+    last -= 2  # each component's last digit
     buf = np.empty(int(last[-1]) + 2, dtype=np.uint8)
     buf[last + 1] = ord(" ")
     buf[last[d - 1::d] + 1] = ord("\n")

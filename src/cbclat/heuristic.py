@@ -12,13 +12,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lattice
 from .freqset import FrequencySet, expansion, max_abs
 from .kernels import MODE_INTEGRATION, MODE_RECONSTRUCTION
 from .primes import nextprime
-from .search import CbcConfig, cbc_construct
+from .search import cbc_construct
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,8 @@ def heuristic_search(I: FrequencySet, mode: str = MODE_RECONSTRUCTION, K: int = 
     trail: list[TrailEntry] = []
     while True:
         started = time.perf_counter()
-        cfg = CbcConfig(M=m_tilde, T=min(T, m_tilde), mode=mode)
         for attempts in range(1, K + 1):
-            result = cbc_construct(I, cfg, rng)
+            result = cbc_construct(I, m_tilde, min(T, m_tilde), mode, rng)
             if result.success:
                 break
         trail.append(TrailEntry(m_tilde, attempts, result.success, time.perf_counter() - started))
@@ -98,7 +96,7 @@ def heuristic_search(I: FrequencySet, mode: str = MODE_RECONSTRUCTION, K: int = 
         best = (m_tilde, result.z)
         if m_tilde == 2:
             break
-        m_tilde = nextprime(Fraction(m_tilde, 2))
+        m_tilde = nextprime(m_tilde // 2)
 
     if best is None:
         return SearchOutcome("failed", None, None, tuple(trail), mode)

@@ -2,12 +2,12 @@
 
 The candidate stream per step is a uniformly random permutation of {0..M-1},
 generated lazily by a sparse Fisher-Yates shuffle: one random draw per
-candidate read. The bounded driver cbc_construct reads at most the first T
-entries; cbc_construct_basic is cbc_construct at T = M, so it reads on through
-the rest and can only fail when no admissible component exists at all.
+candidate read. cbc_construct(I, M, T, mode, rng) reads at most the first T
+entries; cbc_construct_basic(I, M, mode, rng) is cbc_construct at T = M, so it
+reads on through the rest and fails only when no admissible component exists.
 
-All randomness flows through a caller-supplied random.Random (stdlib Mersenne
-Twister), so a seed pins the full candidate order. Reproducibility holds for
+A run is seeded only through its rng, a random.Random (stdlib Mersenne
+Twister) whose seed pins the full candidate order. Reproducibility holds for
 this implementation, not across libraries with different generators.
 """
 
@@ -20,26 +20,7 @@ from dataclasses import dataclass
 
 from .freqset import FrequencySet
 from . import kernels
-from .kernels import MODE_INTEGRATION, MODE_RECONSTRUCTION, MODES
-
-
-@dataclass(frozen=True)
-class CbcConfig:
-    M: int
-    T: int
-    mode: str = MODE_RECONSTRUCTION
-    seed: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", operator.index(self.M))
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if not 1 <= self.T <= self.M:
-            raise ValueError("candidate budget must satisfy 1 <= T <= M")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.seed is not None and not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+from .kernels import MODE_INTEGRATION
 
 
 @dataclass(frozen=True)
@@ -47,9 +28,6 @@ class CbcResult:
     status: str                        # "success" | "failed"
     z: tuple[int, ...] | None
     candidates_tested: tuple[int, ...]  # kernel evaluations per step l = 2..d
-    mode: str
-    M: int
-    seed: int | None = None
 
     @property
     def success(self) -> bool:
@@ -78,7 +56,7 @@ def two_step_permutation(M: int, rng: random.Random):
     return entries()
 
 
-def _drive(I: FrequencySet, M: int, mode: str, step_candidates, seed: int | None) -> CbcResult:
+def _drive(I: FrequencySet, M: int, mode: str, step_candidates) -> CbcResult:
     """Common CBC loop: z_1 = 1, then per later step the first admissible y of
     step_candidates(), which yields at least one candidate in test order. The
     attempt's residue buffer comes from init_residues; only accepted y write it."""
@@ -87,7 +65,7 @@ def _drive(I: FrequencySet, M: int, mode: str, step_candidates, seed: int | None
               else kernels.check_exactness_reconstruction)
     ok, state = kernels.init_residues(I, M, mode)
     if not ok:
-        return CbcResult("failed", None, (), mode, M, seed)
+        return CbcResult("failed", None, ())
     z = [1 % M]
     counts: list[int] = []
     for ell in range(1, I.d):
@@ -98,26 +76,29 @@ def _drive(I: FrequencySet, M: int, mode: str, step_candidates, seed: int | None
                 break
         counts.append(tested)
         if not ok:
-            return CbcResult("failed", None, tuple(counts), mode, M, seed)
+            return CbcResult("failed", None, tuple(counts))
         kernels.commit(step, r)
         z.append(y)
-    return CbcResult("success", tuple(z), tuple(counts), mode, M, seed)
+    return CbcResult("success", tuple(z), tuple(counts))
 
 
-def cbc_construct(I: FrequencySet, cfg: CbcConfig, rng: random.Random | None = None) -> CbcResult:
+def cbc_construct(I: FrequencySet, M: int, T: int, mode: str,
+                  rng: random.Random | None = None) -> CbcResult:
     """Bounded probabilistic CBC: per step, try T random distinct candidates.
 
     Exhausting the budget at any step is an ordinary failed result, not an
     exception; the halving heuristic consumes such failures routinely.
     """
-    seed = None  # cfg.seed names the stream only when it seeds it
+    M = operator.index(M)
+    if not 1 <= T <= M:
+        raise ValueError("candidate budget must satisfy 1 <= T <= M")
     if rng is None:
-        rng, seed = random.Random(cfg.seed), cfg.seed
+        rng = random.Random()
     # islice never asks for entry T+1, so a step draws once per candidate it
     # tests. The generator is looked up at call time, so a wrapper installed
     # on the module attribute sees every step.
-    steps = lambda: itertools.islice(two_step_permutation(cfg.M, rng), cfg.T)
-    return _drive(I, cfg.M, cfg.mode, steps, seed)
+    steps = lambda: itertools.islice(two_step_permutation(M, rng), T)
+    return _drive(I, M, mode, steps)
 
 
 def cbc_construct_basic(I: FrequencySet, M: int, mode: str,
@@ -129,12 +110,12 @@ def cbc_construct_basic(I: FrequencySet, M: int, mode: str,
     candidates hold an admissible one, for any T; a step fails only when all
     M possible components are inadmissible for the current prefix.
     """
-    return cbc_construct(I, CbcConfig(M, M, mode), rng)
+    return cbc_construct(I, M, M, mode, rng)
 
 
 def cbc_exhaustive(I: FrequencySet, M: int, mode: str) -> CbcResult:
     """Deterministic brute-force CBC scanning y = 0, 1, ..., M-1 per step."""
-    return _drive(I, M, mode, lambda: iter(range(M)), None)
+    return _drive(I, M, mode, lambda: iter(range(M)))
 
 
 def estimate_failure_bound(d: int, c, T: int) -> float:

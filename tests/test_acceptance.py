@@ -41,7 +41,7 @@ from cbclat.lattice import (
     verify_reconstruction,
 )
 from cbclat.primes import nextprime
-from cbclat.search import CbcConfig, cbc_construct, two_step_permutation
+from cbclat.search import cbc_construct, two_step_permutation
 
 
 def _verifier(mode):
@@ -62,7 +62,7 @@ def test_criterion_01_bounded_search_soundness():
         I = FrequencySet([[rng.randrange(-8, 9) for _ in range(d)] for _ in range(n)])
         mode = "integration" if trial % 2 else "reconstruction"
         M = initial_size(I, mode)
-        res = cbc_construct(I, CbcConfig(M=M, T=min(100, M), mode=mode, seed=trial))
+        res = cbc_construct(I, M, min(100, M), mode, random.Random(trial))
         if res.success:
             assert _verifier(mode)(Rank1Lattice(M, res.z), I), \
                 f"trial {trial}: accepted lattice fails direct verification"
@@ -294,9 +294,9 @@ def test_criterion_09_polynomial_round_trips():
 def test_criterion_10_seeded_runs_are_reproducible():
     started = time.perf_counter()
     I = gen_axis_cross(3, 8)
-    for cfg in (CbcConfig(M=211, T=50, mode="reconstruction", seed=12345),
-                CbcConfig(M=149, T=100, mode="integration", seed=999)):
-        assert cbc_construct(I, cfg) == cbc_construct(I, cfg)
+    for M, T, mode, seed in ((211, 50, "reconstruction", 12345), (149, 100, "integration", 999)):
+        runs = [cbc_construct(I, M, T, mode, random.Random(seed)) for _ in range(2)]
+        assert runs[0] == runs[1]
     outs = [heuristic_search(I, "reconstruction", K=5, T=60, rng=random.Random(77))
             for _ in range(2)]
     def key(o):

@@ -5,6 +5,7 @@ import importlib.metadata
 import io
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -30,6 +31,7 @@ from cbclat.freqset import read_set
 from cbclat.heuristic import SearchOutcome
 from cbclat.lattice import Rank1Lattice, verify_reconstruction
 from cbclat.primes import is_prime
+from cbclat.search import cbc_construct
 
 
 def _trail(obj):
@@ -159,6 +161,22 @@ def test_construct_echoes_drawn_seed(tmp_path, capsys):
                  "--seed", str(first["seed"])]) == 0
     second = json.loads(capsys.readouterr().out)
     assert second["z"] == first["z"]
+
+
+@pytest.mark.parametrize("mode, M", [("reconstruction", 53), ("integration", 11)])
+def test_construct_is_the_library_call(tmp_path, capsys, mode, M):
+    # construct --seed s prints the z of cbc_construct(I, M, min(T, M), mode,
+    # random.Random(s)), a budget past M included.
+    setfile = write_axis_set(tmp_path, 3, 4)
+    I = read_set(setfile)
+    capsys.readouterr()
+    for T, seed in ((1, 0), (3, 7), (M, 2), (M + 1, 5), (100, 2**64 - 1)):
+        want = cbc_construct(I, M, min(T, M), mode, random.Random(seed))
+        rc = main(["construct", setfile, "--M", str(M), "--T", str(T), "--seed", str(seed),
+                   "--mode", mode])
+        obj = json.loads(capsys.readouterr().out)
+        assert (rc, obj["status"], obj["z"]) == (0 if want.success else 2, want.status,
+                                                 list(want.z) if want.success else None)
 
 
 def test_search_json_schema(tmp_path, capsys):
@@ -486,6 +504,14 @@ def test_readme_commands(tmp_path, capsys, monkeypatch):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
+
+
+def test_readme_library_example():
+    # The README's "Library" example runs as printed, in a fresh namespace.
+    section = README.read_text(encoding="utf-8").split("\n## Library\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
 
 
 def run_checkout(cmd, stdin=None):

@@ -108,9 +108,9 @@ def test_integration_on_superposition_set():
 def test_failed_when_initial_size_never_succeeds(monkeypatch):
     calls = []
 
-    def always_fail(I, cfg, rng=None):
-        calls.append(cfg.M)
-        return CbcResult("failed", None, (cfg.T,), cfg.mode, cfg.M)
+    def always_fail(I, M, T, mode, rng=None):
+        calls.append(M)
+        return CbcResult("failed", None, (T,))
 
     monkeypatch.setattr(heuristic_mod, "cbc_construct", always_fail)
     I = FrequencySet([(0, 1), (2, 3)])
@@ -127,11 +127,11 @@ def test_retry_allowance_resets_per_size(monkeypatch):
     # still reach the bottom, burning 3 attempts per size.
     script = {}
 
-    def flaky(I, cfg, rng=None):
-        script[cfg.M] = script.get(cfg.M, 0) + 1
-        if script[cfg.M] < 3:
-            return CbcResult("failed", None, (cfg.T,), cfg.mode, cfg.M)
-        return CbcResult("success", (1,), (), cfg.mode, cfg.M)
+    def flaky(I, M, T, mode, rng=None):
+        script[M] = script.get(M, 0) + 1
+        if script[M] < 3:
+            return CbcResult("failed", None, (T,))
+        return CbcResult("success", (1,), ())
 
     monkeypatch.setattr(heuristic_mod, "cbc_construct", flaky)
     I = FrequencySet([(0,), (1,)])
@@ -145,8 +145,8 @@ def test_retry_allowance_resets_per_size(monkeypatch):
 def test_accepts_only_verified_lattices(monkeypatch):
     # A driver bug that returns a bogus generating vector must be caught by
     # the final direct verification, not returned to the caller.
-    def liar(I, cfg, rng=None):
-        return CbcResult("success", (1, 1), (1,), cfg.mode, cfg.M)
+    def liar(I, M, T, mode, rng=None):
+        return CbcResult("success", (1, 1), (1,))
 
     monkeypatch.setattr(heuristic_mod, "cbc_construct", liar)
     I = FrequencySet([(0, 0), (0, 1), (1, 0)])

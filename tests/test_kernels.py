@@ -24,7 +24,7 @@ from cbclat.lattice import (
     verify_reconstruction,
 )
 from cbclat.primes import is_prime, nextprime
-from cbclat.search import CbcConfig, CbcResult, cbc_construct, cbc_construct_basic, \
+from cbclat.search import CbcResult, cbc_construct, cbc_construct_basic, \
     two_step_permutation
 
 # Natural order of {(0,0),(1,0),(0,1)} is (0,0), (0,1), (1,0); hand traces
@@ -63,11 +63,11 @@ def _ref_reconstruction(kcol, values, M, y):
     return np.unique(res).shape[0] == pairs.shape[0], _ref_shifted(values, kcol, M, y)
 
 
-def _ref_drive(I, M, mode, step_candidates, seed):
+def _ref_drive(I, M, mode, step_candidates):
     kernel = _ref_integration if mode == "integration" else _ref_reconstruction
     ok, values = _ref_init(I, M, mode)
     if not ok:
-        return CbcResult("failed", None, (), mode, M, seed)
+        return CbcResult("failed", None, ())
     z = [1 % M]
     counts = []
     for ell in range(1, I.d):
@@ -81,19 +81,18 @@ def _ref_drive(I, M, mode, step_candidates, seed):
                 break
         counts.append(tested)
         if accepted is None:
-            return CbcResult("failed", None, tuple(counts), mode, M, seed)
+            return CbcResult("failed", None, tuple(counts))
         z.append(accepted)
-    return CbcResult("success", tuple(z), tuple(counts), mode, M, seed)
+    return CbcResult("success", tuple(z), tuple(counts))
 
 
-def _ref_construct(I, cfg):
-    rng = random.Random(cfg.seed)
-    steps = lambda: itertools.islice(two_step_permutation(cfg.M, rng), cfg.T)
-    return _ref_drive(I, cfg.M, cfg.mode, steps, cfg.seed)
+def _ref_construct(I, M, T, mode, rng):
+    steps = lambda: itertools.islice(two_step_permutation(M, rng), T)
+    return _ref_drive(I, M, mode, steps)
 
 
 def _ref_construct_basic(I, M, mode, rng):
-    return _ref_drive(I, M, mode, lambda: two_step_permutation(M, rng), None)
+    return _ref_drive(I, M, mode, lambda: two_step_permutation(M, rng))
 
 
 def _prefix_mask(I, length):
@@ -472,8 +471,8 @@ def test_drivers_match_reference_kernel_and_driver():
         T = rng.randrange(1, min(M, 12) + 1)
         for mode in ("integration", "reconstruction"):
             for seed in (trial, 10_000 + trial, 20_000 + trial):
-                cfg = CbcConfig(M=M, T=T, mode=mode, seed=seed)
-                assert cbc_construct(I, cfg) == _ref_construct(I, cfg)
+                got = cbc_construct(I, M, T, mode, random.Random(seed))
+                assert got == _ref_construct(I, M, T, mode, random.Random(seed))
                 got = cbc_construct_basic(I, M, mode, random.Random(seed))
                 assert got == _ref_construct_basic(I, M, mode, random.Random(seed))
                 compared += 2

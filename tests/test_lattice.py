@@ -24,7 +24,7 @@ from cbclat.lattice import (
     verify_reconstruction,
 )
 from cbclat.primes import is_prime, nextprime
-from cbclat.search import CbcConfig, cbc_construct
+from cbclat.search import cbc_construct
 
 
 def test_lattice_validation():
@@ -396,7 +396,7 @@ def test_reconstruct_round_trip_on_cube():
     I = gen_cube(2, 2)
     M = nextprime(2 * max(len(I) + 1, 2))
     assert M == 53
-    result = cbc_construct(I, CbcConfig(M=M, T=M, mode="reconstruction", seed=11))
+    result = cbc_construct(I, M, M, "reconstruction", random.Random(11))
     assert result.success
     lat = Rank1Lattice(M, result.z)
     assert verify_reconstruction(lat, I)
@@ -526,7 +526,7 @@ def test_round_trip_at_a_million_nodes():
     I = gen_cube(3, 5)
     M = nextprime(10**6)
     assert len(I) == 1331 and M == 1000003
-    result = cbc_construct(I, CbcConfig(M=M, T=50, mode="reconstruction", seed=4))
+    result = cbc_construct(I, M, 50, "reconstruction", random.Random(4))
     assert result.success
     lat = Rank1Lattice(M, result.z)
     assert verify_reconstruction(lat, I)

@@ -1,5 +1,6 @@
 """The lazy candidate permutation and the CBC drivers."""
 
+import dataclasses
 import json
 import random
 from itertools import islice, permutations
@@ -12,7 +13,6 @@ from cbclat.freqset import FrequencySet, gen_axis_cross, gen_cube
 from cbclat.lattice import Rank1Lattice, verify_integration, verify_reconstruction
 from cbclat.primes import nextprime
 from cbclat.search import (
-    CbcConfig,
     cbc_construct,
     cbc_construct_basic,
     cbc_exhaustive,
@@ -25,8 +25,7 @@ SQUARE = FrequencySet([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 # The three drivers as (I, M, mode) -> CbcResult.
 DRIVERS = {
-    "construct": lambda I, M, mode: cbc_construct(I, CbcConfig(M=M, T=min(8, M), mode=mode,
-                                                               seed=5)),
+    "construct": lambda I, M, mode: cbc_construct(I, M, min(8, M), mode, random.Random(5)),
     "basic": lambda I, M, mode: cbc_construct_basic(I, M, mode, random.Random(5)),
     "exhaustive": cbc_exhaustive,
 }
@@ -37,7 +36,7 @@ def test_numpy_integer_config_size():
     M = nextprime(2**32)
     for name, drive in DRIVERS.items():
         result = drive(gen_cube(3, 1), np.int64(M), "reconstruction")
-        assert result.success and type(result.M) is int and result.M == M, name
+        assert result.success and result.z[0] == 1, name
         assert all(type(v) is int for v in result.z), name
         assert json.loads(json.dumps(list(result.z))) == list(result.z)
         with pytest.raises(TypeError):
@@ -46,7 +45,7 @@ def test_numpy_integer_config_size():
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_drivers_refuse_small_size_and_unknown_mode(driver):
-    # Each driver raises these from CbcConfig or the kernel; none checks them itself.
+    # Each driver raises these from the kernel; none checks them itself.
     with pytest.raises(ValueError, match="need M >= 2"):
         DRIVERS[driver](gen_cube(2, 1), 1, "reconstruction")
     with pytest.raises(ValueError, match="unknown mode"):
@@ -54,17 +53,17 @@ def test_drivers_refuse_small_size_and_unknown_mode(driver):
 
 
 def test_config_validation():
-    CbcConfig(M=5, T=5, mode="integration", seed=0)
-    with pytest.raises(ValueError):
-        CbcConfig(M=5, T=6, mode="integration")
-    with pytest.raises(ValueError):
-        CbcConfig(M=5, T=0, mode="integration")
-    with pytest.raises(ValueError):
-        CbcConfig(M=5, T=3, mode="nope")
-    with pytest.raises(ValueError):
-        CbcConfig(M=5, T=3, mode="integration", seed=2**64)
-    with pytest.raises(ValueError):
-        CbcConfig(M=5, T=3, mode="integration", seed=-1)
+    # The bounded driver refuses a budget outside 1..M before it draws anything.
+    I = gen_cube(2, 1)
+    for T in (1, 5):
+        cbc_construct(I, 5, T, "integration", random.Random(0))
+    for T in (6, 0, -1):
+        rng = CountingRandom(0)
+        with pytest.raises(ValueError, match="candidate budget"):
+            cbc_construct(I, 5, T, "integration", rng)
+        assert rng.draws == 0
+    with pytest.raises(ValueError, match="unknown mode"):
+        cbc_construct(I, 5, 3, "nope", random.Random(0))
 
 
 class CountingRandom(random.Random):
@@ -176,7 +175,7 @@ def test_construct_draws_once_per_candidate():
     I = gen_axis_cross(4, 6)
     for M, T, seed in ((17, 3, 1), (53, 10, 2), (211, 100, 3), (31, 31, 4)):
         rng = CountingRandom(seed)
-        res = cbc_construct(I, CbcConfig(M=M, T=T, mode="reconstruction"), rng)
+        res = cbc_construct(I, M, T, "reconstruction", rng)
         assert rng.draws == sum(res.candidates_tested)
         rng = CountingRandom(seed)
         res = cbc_construct_basic(I, M, "reconstruction", rng)
@@ -185,12 +184,12 @@ def test_construct_draws_once_per_candidate():
 
 def test_construct_d1_and_pigeonhole():
     I = FrequencySet([(-2,), (0,), (3,)])
-    res = cbc_construct(I, CbcConfig(M=7, T=1, mode="integration", seed=5))
+    res = cbc_construct(I, 7, 1, "integration", random.Random(5))
     assert res.success
     assert res.z == (1,)
     assert res.candidates_tested == ()
     # 9 frequencies cannot have distinct residues mod 5
-    res = cbc_construct(gen_cube(2, 1), CbcConfig(M=5, T=5, mode="reconstruction", seed=5))
+    res = cbc_construct(gen_cube(2, 1), 5, 5, "reconstruction", random.Random(5))
     assert res.status == "failed"
 
 
@@ -206,35 +205,25 @@ def test_construct_square_and_admissible_set():
     assert ex.success
     assert ex.z == (1, 2)
     for seed in range(20):
-        res = cbc_construct(SQUARE, CbcConfig(M=5, T=5, mode="reconstruction", seed=seed))
+        res = cbc_construct(SQUARE, 5, 5, "reconstruction", random.Random(seed))
         assert res.success
         assert res.z[1] in admissible
 
 
 def test_construct_determinism_and_budget():
     I = gen_axis_cross(3, 5)
-    cfg = CbcConfig(M=17, T=10, mode="reconstruction", seed=99)
-    a = cbc_construct(I, cfg)
-    b = cbc_construct(I, cfg)
+    a = cbc_construct(I, 17, 10, "reconstruction", random.Random(99))
+    b = cbc_construct(I, 17, 10, "reconstruction", random.Random(99))
     assert a == b
-    assert all(c <= cfg.T for c in a.candidates_tested)
-    assert a.mode == "reconstruction" and a.M == 17 and a.seed == 99
-
-
-def test_construct_reports_the_seed_only_when_it_seeds_the_run():
-    I = gen_axis_cross(3, 4)
-    cfg = CbcConfig(43, 10, "reconstruction", seed=5)
-    assert cbc_construct(I, cfg).seed == 5
-    # A caller's rng drives the run and cfg.seed goes unread: no seed to report.
-    given = cbc_construct(I, cfg, random.Random(9))
-    assert given.seed is None
-    assert given.z == cbc_construct(I, CbcConfig(43, 10, "reconstruction", seed=9)).z
+    assert all(c <= 10 for c in a.candidates_tested)
+    # What the attempt found, and none of its inputs.
+    assert [f.name for f in dataclasses.fields(a)] == ["status", "z", "candidates_tested"]
 
 
 def test_construct_basic_equals_construct_when_head_succeeds():
     I = gen_axis_cross(2, 6)
     for seed in range(10):
-        bounded = cbc_construct(I, CbcConfig(M=29, T=8, mode="reconstruction", seed=seed))
+        bounded = cbc_construct(I, 29, 8, "reconstruction", random.Random(seed))
         fallback = cbc_construct_basic(I, 29, "reconstruction", random.Random(seed))
         if bounded.success:
             assert fallback.z == bounded.z
@@ -245,7 +234,7 @@ def test_construct_basic_survives_bad_head():
     # fallback sweep must still land on one of the admissible components.
     saw_rescue = False
     for seed in range(60):
-        bounded = cbc_construct(SQUARE, CbcConfig(M=5, T=1, mode="reconstruction", seed=seed))
+        bounded = cbc_construct(SQUARE, 5, 1, "reconstruction", random.Random(seed))
         fallback = cbc_construct_basic(SQUARE, 5, "reconstruction", random.Random(seed))
         assert fallback.success
         assert fallback.z[1] in {2, 3}
@@ -291,7 +280,7 @@ def test_random_successes_pass_direct_verifiers():
         I = FrequencySet([[rng.randrange(-6, 7) for _ in range(d)] for _ in range(n)])
         mode = "integration" if trial % 2 else "reconstruction"
         M = rng.choice([53, 59, 61, 67, 211])
-        res = cbc_construct(I, CbcConfig(M=M, T=M, mode=mode, seed=trial))
+        res = cbc_construct(I, M, M, mode, random.Random(trial))
         if res.success:
             lat = Rank1Lattice(M, res.z)
             verifier = verify_integration if mode == "integration" else verify_reconstruction
