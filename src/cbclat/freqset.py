@@ -1,8 +1,13 @@
 """Frequency sets: data model, generator families, difference sets, file I/O.
 
-A frequency set is a finite set I of integer vectors k in Z^d. Sets are stored
-deduplicated and sorted in the natural (lexicographic) order on construction,
-which the incremental residue bookkeeping downstream relies on.
+A frequency set is a finite set I of integer vectors k in Z^d, deduplicated and
+sorted in the natural (lexicographic) order, which the incremental residue
+bookkeeping downstream relies on. A set holds only its nonzero components,
+column by column (FrequencySet.entries): O(nonzeros) memory however large d
+is. The generators build that store directly, and read_set builds it from a
+sorted file one chunk of lines at a time. Rows handed to FrequencySet, and
+files, that are not in natural order are sorted and deduplicated through one
+dense np.unique.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# Guard against runaway enumerations, measured in items/cells as stated by each
-# generator and read at call time.
+# Guard against runaway enumerations, in the nonzero components a set will
+# store (cells for difference_set, which is dense), read at call time.
 SIZE_CAP = 10**8
 
 # Components are capped so that v + y*k for residues v, y < M stays in int64
@@ -23,7 +28,9 @@ SIZE_CAP = 10**8
 # A dot product k . z takes the same tiers with max ||k||_1 (cached row_norms).
 COMPONENT_LIMIT = 2**31 - 1
 
-_CHUNK_CELLS = 1 << 16  # components per chunk: format_set's text, gen_weighted_hyperbolic's rows
+# Components per dense block of rows: format_set's text, iteration and
+# membership, and gen_weighted_hyperbolic's enumeration.
+_CHUNK_CELLS = 1 << 16
 _CHUNK_BYTES = 1 << 17  # bytes of whole lines per chunk of read_set's parse: bounds its memory
 # 10..10^17: a parsed digit at place p weighs 10^p; a written component
 # (|v| < 10^10) has 1 + #{p <= |v|} digits, counted against 10..10^9 alone.
@@ -31,14 +38,23 @@ _POW10 = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
 def _integers(values) -> np.ndarray | None:
-    """values as a new int64 array, or None unless numpy reads them as integers that fit int64."""
+    """values as an int64 array (an int64 array itself, not a copy), or None
+    unless numpy reads them as integers that fit int64."""
     try:
-        arr = np.array(values)
+        arr = np.asarray(values)
     except (ValueError, OverflowError):
         return None
     if arr.size and not (np.issubdtype(arr.dtype, np.integer) and np.can_cast(arr.dtype, np.int64)):
         return None
     return arr.astype(np.int64, copy=False)
+
+
+def _int32(values: np.ndarray) -> np.ndarray:
+    """values as int32, which holds every |k_t| <= COMPONENT_LIMIT exactly; a
+    larger component is refused."""
+    if values.size and (values.min() < -COMPONENT_LIMIT or values.max() > COMPONENT_LIMIT):
+        raise ValueError(f"frequency components must satisfy |k_t| <= {COMPONENT_LIMIT}")
+    return values.astype(np.int32, copy=False)
 
 
 def _strictly_increasing(arr: np.ndarray) -> bool:
@@ -52,91 +68,137 @@ def _strictly_increasing(arr: np.ndarray) -> bool:
     return bool(np.all(arr[1:][rows, col] > arr[:-1][rows, col]))
 
 
-class FrequencySet:
-    """Deduplicated, lexicographically sorted set of frequency vectors: an
-    immutable (n, d) int64 array whose rows are the frequencies."""
+def _column_major(n: int, d: int, parts: list) -> tuple:
+    """(n, d, rows, cols, values) of the n-row set whose entries come in parts,
+    each column-major with its rows ascending and the parts in row order: one
+    stable sort by column merges them (timsort takes each part as one run).
+    parts is emptied as its arrays are joined, and the joined arrays are
+    reordered one at a time, to keep the peak low."""
+    if len(parts) == 1:
+        return (n, d, *parts.pop())
+    entries = [np.concatenate(a) for a in zip(*parts)]
+    parts.clear()
+    order = np.argsort(entries[1], kind="stable")
+    for i in range(3):
+        entries[i] = entries[i][order]
+    return (n, d, *entries)
 
-    __slots__ = ("_arr", "_entries", "_nonzeros", "_spans", "_norms")
+
+class _RowBlocks:
+    """Collects a set's rows, handed over as dense (m, d) int64 blocks in
+    order, as their nonzero entries: it holds O(nonzeros), and O(one block)
+    more while it takes a block in."""
+
+    def __init__(self):
+        self.n = self.nnz = 0
+        self.parts: list[tuple] = []
+        self.last: list[int] = []  # the previous block's last row
+        self.ordered = True
+
+    def add(self, block: np.ndarray) -> None:
+        # Python lists compare lexicographically, and [] is below every row.
+        self.ordered = self.ordered and self.last < block[0].tolist() and _strictly_increasing(block)
+        self.last = block[-1].tolist()
+        cols, rows = np.nonzero(block.T)
+        values = _int32(block.T[cols, rows])
+        rows += self.n
+        self.parts.append((rows, cols, values))
+        self.n += block.shape[0]
+        self.nnz += rows.shape[0]
+
+    def store(self) -> tuple:
+        """(n, d, rows, cols, values) of the set. Rows that came strictly
+        increasing go into it as they are; any others are sorted and
+        deduplicated through one dense np.unique."""
+        n, d = self.n, len(self.last)
+        if self.ordered:
+            return _column_major(n, d, self.parts)
+        dense = np.zeros((n, d), dtype=np.int64)
+        for rows, cols, values in self.parts:
+            dense[rows, cols] = values
+        again = _RowBlocks()
+        again.add(np.unique(dense, axis=0))
+        return again.store()
+
+
+class FrequencySet:
+    """Deduplicated, lexicographically sorted set of frequency vectors, held
+    as its nonzero components only (entries, O(nonzeros)); array materialises
+    the rows in O(n d). Rows given already sorted go into the store as they
+    are; any others are sorted through one dense np.unique."""
+
+    __slots__ = ("_n", "_entries", "_nonzeros", "_spans", "_norms")
 
     def __init__(self, rows):
-        # A copy, so freezing it in _own never freezes the caller's buffer.
         arr = _integers(rows)
         if arr is None:
             raise ValueError("invalid frequency data: expected integer vectors within int64")
-        self._own(arr)
-
-    @classmethod
-    def _owning(cls, arr: np.ndarray) -> "FrequencySet":
-        """The set of arr's rows, for an int64 array the package built and hands
-        over: checked like any input and frozen in place, with no copy."""
-        I = cls.__new__(cls)
-        I._own(arr)
-        return I
-
-    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError("expected a sequence of equal-length frequency vectors")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("frequency set must contain at least one frequency, d >= 1")
-        if np.any(arr > COMPONENT_LIMIT) or np.any(arr < -COMPONENT_LIMIT):
-            raise ValueError(f"frequency components must satisfy |k_t| <= {COMPONENT_LIMIT}")
-        if not _strictly_increasing(arr):
-            arr = np.unique(arr, axis=0)
-        arr.setflags(write=False)
-        self._arr = arr
-        self._entries = self._nonzeros = self._spans = self._norms = None
+        blocks = _RowBlocks()
+        blocks.add(arr)
+        self._own(*blocks.store())
 
-    @property
-    def d(self) -> int:
-        return self._arr.shape[1]
+    @classmethod
+    def _of(cls, n: int, d: int, rows: np.ndarray, cols: np.ndarray, values) -> "FrequencySet":
+        """The set of n rows in d columns whose nonzero components are given
+        column by column, in set order within one, by a builder of the package
+        that emits natural order: taken as they are, with no copy."""
+        I = cls.__new__(cls)
+        I._own(n, d, rows, cols, values)
+        return I
 
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only (n, d) int64 view of the frequencies in natural order."""
-        return self._arr
-
-    def _index(self) -> None:
-        """Build the nonzero store on first use and keep it, since the set never
-        changes: entries (one np.nonzero over the transposed array), each
-        column's view of them with its largest |k_t|, and the spans."""
-        if self._entries is not None:
-            return
-        cols, rows = np.nonzero(self._arr.T)
-        # int32 holds every |k_t| <= COMPONENT_LIMIT, and is exact_operand's
-        # narrowest tier, which then takes the values without a copy.
-        values = self._arr.T[cols, rows].astype(np.int32)
+    def _own(self, n: int, d: int, rows: np.ndarray, cols: np.ndarray, values) -> None:
+        # int32 values are exact_operand's narrowest tier, which then takes
+        # them without a copy.
+        values = _int32(values)
         for a in (rows, cols, values):  # before the per-column views are cut
             a.setflags(write=False)
-        cuts = np.searchsorted(cols, np.arange(1, self.d))
+        cuts = np.searchsorted(cols, np.arange(1, d))
         per_col = np.split(values, cuts)
         spans = []
         for v in per_col:
-            z = 0 if v.shape[0] < len(self) else v[0]  # 0 is in the range iff a row is 0 here
+            z = 0 if v.shape[0] < n else v[0]  # 0 is in the range iff a row is 0 here
             spans.append((int(v.min(initial=z)), int(v.max(initial=z))))
         bounds = [max(-lo, hi) for lo, hi in spans]
+        self._n = n
         self._nonzeros = tuple(zip(np.split(rows, cuts), per_col, bounds))
         self._spans = np.array(spans, dtype=np.int64)
         self._spans.setflags(write=False)
         self._entries = rows, cols, values
+        self._norms = None
+
+    @property
+    def d(self) -> int:
+        return len(self._nonzeros)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The frequencies in natural order as a new, read-only (n, d) int64
+        array: O(n d) memory, which the set does not keep."""
+        rows, cols, values = self._entries
+        out = np.zeros((self._n, self.d), dtype=np.int64)
+        out[rows, cols] = values
+        out.setflags(write=False)
+        return out
 
     @property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero components k_{j,t} as read-only flat arrays (rows j,
         columns t, int32 values), column by column and in set order within one."""
-        self._index()
         return self._entries
 
     def nonzeros(self, t: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Rows j with k_{j,t} != 0, in set order, those components, and their
         largest |k_{j,t}| (0 for a zero column): column t of entries."""
-        self._index()
         return self._nonzeros[t]
 
     @property
     def spans(self) -> np.ndarray:
         """Read-only (d, 2) int64 array of min k_t and max k_t over the set, taken
         over the entries and over 0 where a column has a zero component."""
-        self._index()
         return self._spans
 
     @property
@@ -144,33 +206,57 @@ class FrequencySet:
         """Read-only L1 norm of every row, summed from the entries on first use
         and kept."""
         if self._norms is None:
-            rows, _, values = self.entries
-            self._norms = np.zeros(len(self), dtype=np.int64)
+            rows, _, values = self._entries
+            self._norms = np.zeros(self._n, dtype=np.int64)
             # int64 terms: np.add.at on a dtype other than the target's is ~20x slower
             np.add.at(self._norms, rows, np.abs(values, dtype=np.int64))
             self._norms.setflags(write=False)
         return self._norms
 
+    def _blocks(self):
+        """The rows in set order as dense int64 blocks of max(1, _CHUNK_CELLS // d)
+        rows. Each block takes the next entries of every column, found in a
+        window as wide as the block or the longest column, so O(_CHUNK_CELLS + d)
+        is held at a time."""
+        rows, cols, values = self._entries
+        n, d = self._n, self.d
+        step = max(1, _CHUNK_CELLS // d)
+        bounds = np.searchsorted(cols, np.arange(d + 1))
+        at, ends = bounds[:-1].copy(), bounds[1:, None]
+        window = np.arange(min(step, int(np.diff(bounds).max())))
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            idx = at[:, None] + window
+            take = idx < ends
+            take[take] = rows[idx[take]] < stop  # rows ascend within a column
+            at += take.sum(axis=1)
+            idx = idx[take]
+            block = np.zeros((stop - start, d), dtype=np.int64)
+            block[rows[idx] - start, cols[idx]] = values[idx]
+            yield block
+
     @property
     def items(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, self._arr.tolist()))
+        return list(self)
 
     def __len__(self) -> int:
-        return self._arr.shape[0]
+        return self._n
 
     def __iter__(self):
-        return iter(self.items)
+        for block in self._blocks():
+            yield from map(tuple, block.tolist())
 
     def __contains__(self, k) -> bool:
         target = _integers(k)  # a float, string, bool or wrong-length vector is no member
         ok = target is not None and target.shape == (self.d,)
         ok = ok and not any(isinstance(v, (bool, np.bool_)) for v in k)  # numpy reads True as 1
-        return ok and bool(np.any(np.all(self._arr == target, axis=1)))
+        return ok and any(np.all(block == target, axis=1).any() for block in self._blocks())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FrequencySet):
             return NotImplemented
-        return self._arr.shape == other._arr.shape and bool(np.array_equal(self._arr, other._arr))
+        return (self._n, self.d) == (other._n, other.d) and all(
+            np.array_equal(a, b) for a, b in zip(self._entries, other._entries))
 
     def __repr__(self) -> str:
         return f"FrequencySet(d={self.d}, n={len(self)})"
@@ -218,36 +304,39 @@ class WeightSpec:
 
 
 def gen_cube(d: int, N: int) -> FrequencySet:
-    """Full cube [-N, N]^d."""
+    """Full cube [-N, N]^d. It is dense by nature, so it is built as one dense
+    array of its rows."""
     if d < 1 or N < 0:
         raise ValueError("need d >= 1, N >= 0")
     side = 2 * N + 1
-    if d * side**d > SIZE_CAP:
+    if d * 2 * N * side ** (d - 1) > SIZE_CAP:
         raise ValueError(f"gen_cube(d={d}, N={N}) exceeds the size cap")
     grid = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - N
     # np.indices varies the first coordinate slowest, so rows come out in
     # natural order already and skip the re-sort.
-    return FrequencySet._owning(grid)
+    return FrequencySet(grid)
 
 
-def _axis_rows(D: int, N: int) -> np.ndarray:
-    """The axis cross in D dimensions in natural order: the negative values
-    by position ascending, the zero row, then the positive values by
-    position descending."""
-    rows = np.zeros((2 * D * N + 1, D), dtype=np.int64)
-    i = np.arange(D * N)
-    rows[i, i // N] = i % N - N
-    rows[D * N + 1 + i, D - 1 - i // N] = i % N + 1
-    return rows
+def _axis_entries(D: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero components of the axis cross in D dimensions, whose natural
+    order has the negative values by position ascending, the zero row, then
+    the positive values by position descending: their (D, 2N) rows, line t for
+    column t, and the 2N values -N..-1, 1..N that every line holds."""
+    t = np.arange(D)[:, None]
+    i = np.arange(N)
+    rows = np.concatenate([t * N + i, (2 * D - 1 - t) * N + 1 + i], axis=1)
+    return rows, np.concatenate([i - N, i + 1])
 
 
 def gen_axis_cross(d: int, N: int) -> FrequencySet:
     """Axis cross: at most one nonzero component, of magnitude <= N."""
     if d < 1 or N < 0:
         raise ValueError("need d >= 1, N >= 0")
-    if 2 * d * N + 1 > SIZE_CAP:
+    if 2 * d * N > SIZE_CAP:
         raise ValueError(f"gen_axis_cross(d={d}, N={N}) exceeds the size cap")
-    return FrequencySet._owning(_axis_rows(d, N))
+    rows, values = _axis_entries(d, N)
+    cols = np.repeat(np.arange(d), 2 * N)
+    return FrequencySet._of(2 * d * N + 1, d, rows.ravel(), cols, np.tile(values, d))
 
 
 def gen_superposition2(d: int, N: int) -> FrequencySet:
@@ -256,27 +345,32 @@ def gen_superposition2(d: int, N: int) -> FrequencySet:
         raise ValueError("superposition family needs d >= 2")
     if N < 0:
         raise ValueError("need N >= 0")
-    n = 2 * N * d * (1 + (d - 1) * N) + 1
-    if n > SIZE_CAP:
+    if 2 * d * N * (1 + 2 * (d - 1) * N) > SIZE_CAP:
         raise ValueError(f"gen_superposition2(d={d}, N={N}) exceeds the size cap")
     # Natural order: a row whose first nonzero component is k_s < 0 comes
     # before every row with k_s = 0, and is followed by an axis cross in the
-    # later columns. So the blocks k_s = -N..-1 run for s = 0..d-2, then the
-    # last column alone takes -N..N, then the blocks k_s = 1..N run for
-    # s = d-2..0.
-    rows = np.zeros((n, d), dtype=np.int64)
-    blocks = [(s, np.arange(-N, 0)) for s in range(d - 1)]
-    blocks += [(d - 1, np.arange(-N, N + 1))]
-    blocks += [(s, np.arange(1, N + 1)) for s in range(d - 2, -1, -1)]
-    i = 0
-    for s, values in blocks:
-        tail = _axis_rows(d - 1 - s, N)
-        m = values.shape[0] * tail.shape[0]
-        rows[i:i + m, s] = np.repeat(values, tail.shape[0])
-        rows[i:i + m, s + 1:] = np.tile(tail, (values.shape[0], 1))
-        i += m
-    assert i == n
-    return FrequencySet._owning(rows)
+    # later columns. So the blocks k_s = -N..-1 run for s = 0..d-1, then the
+    # zero row, then the blocks k_s = 1..N for s = d-1..0. Each block's
+    # entries are column-major: column s, then each later column's entries in
+    # every copy of the axis cross, whose rows are those of the widest axis
+    # cross with its positive half moved up.
+    widest, t_values = _axis_entries(d - 1, N)
+    upper = np.arange(2 * N) >= N
+    t_values = np.tile(t_values, (d - 1) * N)  # N copies of the widest; a block takes a prefix
+    parts, start = [], 0
+    for values, columns in ((np.arange(-N, 0), range(d)), (np.arange(1, N + 1), range(d - 1, -1, -1))):
+        for s in columns:
+            D = d - 1 - s
+            tail = 2 * D * N + 1  # rows of the axis cross in the later columns
+            t_rows = start + np.arange(N)[:, None] * tail + (widest[:D] - 2 * s * N * upper)[:, None, :]
+            parts.append((
+                np.concatenate([start + np.arange(N * tail), t_rows.ravel()]),
+                np.repeat(np.arange(s, d), [N * tail] + [2 * N * N] * D),
+                np.concatenate([np.repeat(values, tail), t_values[:2 * N * N * D]]),
+            ))
+            start += N * tail
+        start += 1  # the zero row
+    return FrequencySet._of(*_column_major(2 * N * d * (1 + (d - 1) * N) + 1, d, parts))
 
 
 def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> FrequencySet:
@@ -286,9 +380,9 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
     dmax-dimensional set, depth-first with an exact rational budget num/den in
     Python ints, so no floating point decides the boundary. A row ends at the
     first coordinate whose bound floor(budget*gamma_j) is 0: the weights never
-    increase. Rows come out in natural order, as tuples that are written into
-    one growing int64 array every _CHUNK_CELLS components, so at most one
-    chunk is held as Python objects.
+    increase. Rows come out in natural order, as tuples whose nonzero
+    components are collected every _CHUNK_CELLS components, so at most one
+    chunk is held as Python objects or as a dense block.
     """
     thr = threshold if isinstance(threshold, Fraction) else Fraction(threshold)
     if thr <= 0:
@@ -304,18 +398,15 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
     # gamma_j = p/q; the weight 0 past dmax ends every row there.
     gammas = [weights.gamma(j).as_integer_ratio() for j in range(1, dmax + 1)] + [(0, 1)]
 
-    arr = np.empty((0, dmax), dtype=np.int64)
+    blocks = _RowBlocks()
     rows: list[tuple[int, ...]] = []
     buf = [0] * dmax
     chunk = max(1, _CHUNK_CELLS // dmax)
 
     def flush() -> None:
-        # arr grows in place by the chunk; no view of it exists, so it may move.
-        n = arr.shape[0]
-        arr.resize((n + len(rows), dmax), refcheck=False)
-        arr[n:] = rows
+        blocks.add(np.array(rows, dtype=np.int64))
         rows.clear()
-        if arr.shape[0] * dmax > SIZE_CAP:
+        if blocks.nnz > SIZE_CAP:
             raise ValueError("gen_weighted_hyperbolic exceeds the size cap")
 
     def descend(j: int, num: int, den: int) -> None:
@@ -339,17 +430,18 @@ def gen_weighted_hyperbolic(weights: WeightSpec, threshold, dmax: int) -> Freque
     descend(0, thr.numerator, thr.denominator)
     if rows:
         flush()
-    return FrequencySet._owning(arr)
+    return FrequencySet._of(*blocks.store())
 
 
 def difference_set(I: FrequencySet) -> FrequencySet:
-    """D(I) = {h - k : h, k in I}; contains 0 and is closed under negation."""
-    n = len(I)
-    if n * n > SIZE_CAP:
+    """D(I) = {h - k : h, k in I}; contains 0 and is closed under negation.
+    Dense: it builds the n^2 differences as one (n^2, d) array and sorts them
+    with np.unique, so the cap counts those cells."""
+    n, d = len(I), I.d
+    if n * n * d > SIZE_CAP:
         raise ValueError("difference_set exceeds the size cap")
     arr = I.array
-    diffs = (arr[:, None, :] - arr[None, :, :]).reshape(n * n, I.d)
-    return FrequencySet(diffs)
+    return FrequencySet(np.unique((arr[:, None, :] - arr[None, :, :]).reshape(n * n, d), axis=0))
 
 
 def expansion(I: FrequencySet) -> int:
@@ -389,12 +481,11 @@ def _chunk_text(block: np.ndarray) -> str:
 
 def format_set(I: FrequencySet):
     """Yield I's set-file text (one frequency per line, components joined by one
-    space) one chunk of at most _CHUNK_CELLS components at a time. Each chunk is
-    built as bytes in a few numpy passes: no Python object per component, and
-    its temporaries stay under 5 MB whatever |I| and d are."""
-    step = max(1, _CHUNK_CELLS // I.d)
-    for start in range(0, len(I), step):
-        yield _chunk_text(I.array[start:start + step])
+    space) one dense block of at most _CHUNK_CELLS components at a time. Each
+    chunk is built as bytes in a few numpy passes: no Python object per
+    component, and its temporaries stay under 5 MB whatever |I| and d are."""
+    for block in I._blocks():
+        yield _chunk_text(block)
 
 
 def write_set(I: FrequencySet, path) -> None:
@@ -403,9 +494,9 @@ def write_set(I: FrequencySet, path) -> None:
         fh.writelines(format_set(I))
 
 
-def _chunk_rows(chunk: bytes, out: np.ndarray) -> int | None:
-    """Parse chunk, whole lines of write_set's layout, into the first rows of
-    out and return how many; None if it is not that layout. Every byte is
+def _chunk_rows(chunk: bytes, d: int) -> np.ndarray | None:
+    """chunk, whole lines of write_set's layout, as a new (lines, d) int64
+    array; None if it is not that layout. Every byte is
     checked once: the separators (all bytes below '-') as one space between
     components and a newline after every d-th, each component's last byte as a
     digit, and the bytes before it, right to left, as digits up to a separator
@@ -413,12 +504,13 @@ def _chunk_rows(chunk: bytes, out: np.ndarray) -> int | None:
     b = np.frombuffer(chunk, dtype=np.uint8)
     seps = np.flatnonzero(b < ord("-"))
     kinds = b[seps]
-    if b[-1] != ord("\n") or kinds.size % out.shape[1]:
+    if b[-1] != ord("\n") or kinds.size % d:
         return None
-    kinds = kinds.reshape(-1, out.shape[1])
+    kinds = kinds.reshape(-1, d)
     if np.any(kinds[:, -1] != ord("\n")) or np.any(kinds[:, :-1] != ord(" ")):
         return None
-    flat = out[:kinds.shape[0]].reshape(-1)
+    out = np.empty(kinds.shape, dtype=np.int64)
+    flat = out.reshape(-1)
     flat[:] = b[seps - 1]
     flat -= ord("0")
     if flat.min() < 0 or flat.max() > 9:
@@ -442,27 +534,34 @@ def _chunk_rows(chunk: bytes, out: np.ndarray) -> int | None:
         flat[idx] += _POW10[p - 1:p] * digit
         pos -= 1
         p += 1
-    return kinds.shape[0]
+    return out
 
 
-def _read_layout(data: bytes) -> np.ndarray | None:
-    """data's rows if it is write_set's layout (components -?[0-9]+ of at most
-    18 digits, one space between them, a newline after every line), else None.
-    Chunks of whole lines of about _CHUNK_BYTES fill one preallocated (lines, d)
-    int64 array, so the memory beyond data and that array stays bounded."""
-    lines = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    d = data.count(b" ", 0, data.find(b"\n")) + 1
-    if not lines or 2 * lines * d > len(data):  # each component takes at least 2 bytes
+def _read_layout(data: bytes) -> _RowBlocks | None:
+    """data's rows as their nonzeros if data is write_set's layout (components
+    -?[0-9]+ of at most 18 digits, one space between them, a newline after
+    every line), else None. It is parsed in chunks of whole lines of about
+    _CHUNK_BYTES, one (lines, d) int64 block each, so beyond data and the
+    nonzeros one chunk's parse is held at a time."""
+    if not data.endswith(b"\n"):
         return None
-    out = np.empty((lines, d), dtype=np.int64)
-    row = start = 0
+    d = data.count(b" ", 0, data.find(b"\n")) + 1
+    blocks, error = _RowBlocks(), None
+    start = 0
     while start < len(data):
         end = data.find(b"\n", start + _CHUNK_BYTES - 1) + 1 or len(data)
-        done = _chunk_rows(data[start:end], out[row:])
-        if done is None:
-            return None
-        row, start = row + done, end
-    return out
+        block = _chunk_rows(data[start:end], d)
+        if block is None:
+            return None  # _read_by_lines then names the first bad line
+        if error is None:
+            try:
+                blocks.add(block)
+            except ValueError as exc:  # a component past COMPONENT_LIMIT, raised
+                error = exc  # once the rest of data is known to be the layout
+        start = end
+    if error is not None:
+        raise error
+    return blocks
 
 
 def _read_by_lines(text: str, path) -> list[list[int]]:
@@ -487,15 +586,18 @@ def _read_by_lines(text: str, path) -> list[list[int]]:
 
 
 def read_set(path) -> FrequencySet:
-    """Read a set file or stream (a pipe too) in one pass: write_set's own
-    layout by numpy byte passes per chunk of lines, with no Python step per
-    line or component; any other text by _read_by_lines."""
+    """Read a set file or stream (a pipe too) in one pass. write_set's own
+    layout is parsed by numpy byte passes per chunk of lines, with no Python
+    step per line or component, and each chunk's nonzeros go into the store:
+    a file in natural order (as write_set writes it) is never held as a dense
+    array, while an unsorted one is sorted through one dense np.unique. Any
+    other text is read by _read_by_lines."""
     with open(path, "rb") as fh:
         data = fh.read()
-    rows = _read_layout(data)
-    if rows is not None:
-        del data  # before the set's checks, which set the peak
-        return FrequencySet._owning(rows)
+    blocks = _read_layout(data)
+    if blocks is not None:
+        del data  # before the store is assembled, which sets the peak
+        return FrequencySet._of(*blocks.store())
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -14,7 +14,7 @@ a prefix are contiguous in natural order, so row j starts a new length-l
 prefix exactly where nu_j != nu_{j-1} or k_{j,l} != k_{j-1,l}; reconstruction
 reads one row per distinct prefix, the projected set the direct verifier
 reads. Integration reads only the rows with k_{j,l} != 0. Both take column l
-from FrequencySet.nonzeros, never from the dense array.
+from FrequencySet.nonzeros, the set's own store.
 
 prepare_step selects those rows once per step; a candidate then costs one
 (v + y k) mod M over them and a zero test or a sort. No check writes the

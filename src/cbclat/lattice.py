@@ -151,7 +151,7 @@ class TrigPolynomial:
 
     def as_dict(self) -> dict:
         return {
-            "support": [list(map(int, row)) for row in self.support.array],
+            "support": [list(k) for k in self.support],
             "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
         }
 
@@ -176,8 +176,9 @@ def eval_poly(p: TrigPolynomial, x) -> complex:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (p.support.d,):
         raise ValueError(f"point must have dimension {p.support.d}")
-    phases = np.exp(2j * np.pi * (p.support.array @ x))
-    return complex(phases @ p.coeffs)
+    rows, cols, values = p.support.entries
+    kx = np.bincount(rows, weights=values * x[cols], minlength=len(p.support))
+    return complex(np.exp(2j * np.pi * kx) @ p.coeffs)
 
 
 def eval_on_lattice(p: TrigPolynomial, lat: Rank1Lattice) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Frequency-set model, generators, difference sets, and file round-trips."""
 
 import itertools
+import os
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from cbclat.freqset import (
     WeightSpec,
     difference_set,
     expansion,
+    format_set,
     gen_axis_cross,
     gen_cube,
     gen_superposition2,
@@ -25,6 +28,9 @@ from cbclat.freqset import (
     read_set,
     write_set,
 )
+from cbclat.heuristic import initial_size
+from cbclat.kernels import MODE_INTEGRATION, MODE_RECONSTRUCTION
+from cbclat.primes import nextprime
 
 
 # --- data model ---------------------------------------------------------
@@ -86,20 +92,24 @@ def test_sorted_input_skips_the_resort(monkeypatch, tmp_path):
                                        for g in (gen_axis_cross, gen_superposition2)
                                        if d >= 2 or g is gen_axis_cross])
 def test_generators_emit_natural_order(monkeypatch, gen, d, N):
-    # The rows a generator hands to FrequencySet are already what the
-    # construction would make of them: sorted, without duplicates. The set
-    # takes the generator's array as its own, with no copy.
+    # The entries a generator hands to FrequencySet._of are already what the
+    # construction would make of its rows: column by column, in set order
+    # within one, of rows that are sorted and without duplicates. The set
+    # takes the generator's arrays as its own, with no copy and no re-sort.
     emitted = []
-    owning = FrequencySet._owning
-
-    def spy(rows):
-        emitted.append(rows)
-        return owning(rows)
-
-    monkeypatch.setattr(FrequencySet, "_owning", spy)
+    of, unique = FrequencySet._of, np.unique
+    monkeypatch.setattr(FrequencySet, "_of", lambda *store: emitted.append(store) or of(*store))
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: pytest.fail("re-sorted"))
     I = gen(d, N)
-    assert np.array_equal(emitted[0], np.unique(emitted[0], axis=0))
-    assert I.array is emitted[0]
+    [(n, width, rows, cols, values)] = emitted
+    assert (n, width) == (len(I), d)
+    assert np.all(values != 0)
+    assert np.all(np.diff(cols * n + rows) > 0)  # column-major, rows ascending
+    dense = np.zeros((n, d), dtype=np.int64)
+    dense[rows, cols] = values
+    assert np.array_equal(dense, unique(dense, axis=0))
+    assert I.entries[0] is rows and I.entries[1] is cols
+    assert np.array_equal(I.entries[2], values)  # as int32
 
 
 def test_column_nonzeros():
@@ -174,6 +184,139 @@ def test_row_norms():
     assert I.row_norms is I.row_norms
     assert not I.row_norms.flags.writeable
     assert I.row_norms.dtype == np.int64
+
+
+@st.composite
+def _row_lists(draw):
+    """Rows of one width in any order, with duplicates, the zero row, all-zero
+    columns and components at +-COMPONENT_LIMIT mixed in (d = 1 and a single
+    row among them)."""
+    d = draw(st.integers(1, 5))
+    component = st.one_of(st.integers(-3, 3), st.sampled_from([COMPONENT_LIMIT, -COMPONENT_LIMIT]))
+    rows = draw(st.lists(st.tuples(*[component] * d), min_size=1, max_size=25))
+    if draw(st.booleans()):
+        rows.append((0,) * d)
+    zero_columns = draw(st.sets(st.integers(0, d - 1), max_size=d))
+    rows = [tuple(0 if t in zero_columns else v for t, v in enumerate(k)) for k in rows]
+    if draw(st.booleans()):
+        rows += draw(st.permutations(rows))
+    return rows
+
+
+def _text(rows):
+    """Set-file text of rows in the given order, one str(int) per component."""
+    return "".join(" ".join(map(str, k)) + "\n" for k in rows)
+
+
+def _read_through_pipe(data: bytes):
+    """read_set on a pipe that a thread fills with data."""
+    r, w = os.pipe()
+
+    def fill():
+        with open(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        return read_set(f"/dev/fd/{r}")
+    finally:
+        os.close(r)  # a writer still blocked then fails instead of hanging
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists())
+@example([(COMPONENT_LIMIT,)])
+@example([(0, -COMPONENT_LIMIT, 0), (0, -COMPONENT_LIMIT, 0), (0, 0, 0), (0, 2, 0)])
+def test_store_only_set_matches_python_reference(tmp_path_factory, rows):
+    # Every reader of the store against sorted(set(rows)) in plain Python.
+    want = sorted(set(rows))
+    n, d = len(want), len(want[0])
+    I = FrequencySet(rows)
+    assert (len(I), I.d) == (n, d)
+    assert I.items == list(I) == want
+    assert all(k in I for k in want)
+    assert all(k not in I for k in [(1,) * d, (COMPONENT_LIMIT - 1,) * d, (2, -2) * d] if k not in want)
+    assert I == FrequencySet(want[::-1]) and I != FrequencySet(want[:-1] or [(5,) * d])
+    assert I.array.tolist() == [list(k) for k in want]
+    rows_, cols, values = I.entries
+    assert (rows_.dtype, cols.dtype, values.dtype) == (np.intp, np.intp, np.int32)
+    assert list(zip(rows_.tolist(), cols.tolist(), values.tolist())) == [
+        (j, t, k[t]) for t in range(d) for j, k in enumerate(want) if k[t]]
+    for t in range(d):
+        r, v, bound = I.nonzeros(t)
+        assert r.tolist() == [j for j, k in enumerate(want) if k[t]]
+        assert v.tolist() == [k[t] for k in want if k[t]]
+        assert bound == max(abs(k[t]) for k in want)
+    assert I.spans.tolist() == [[min(k[t] for k in want), max(k[t] for k in want)] for t in range(d)]
+    assert I.row_norms.tolist() == [sum(map(abs, k)) for k in want]
+    # The bytes of the per-component writer, and the set back from them: by
+    # the layout path, by the line rules (a comment first), through a pipe,
+    # and from the rows as given, unsorted and duplicated.
+    text = _text(want)
+    assert "".join(format_set(I)) == text
+    path = tmp_path_factory.mktemp("ref") / "set.txt"
+    write_set(I, path)
+    assert path.read_text() == text and read_set(path) == I
+    path.write_text("# rows\n" + text)
+    assert read_set(path) == I
+    assert _read_through_pipe(text.encode()) == I
+    path.write_text(_text(rows))
+    assert read_set(path) == I
+
+
+def test_unsorted_files_sort_through_one_dense_unique(tmp_path, monkeypatch):
+    # A file out of natural order, or with a repeated row, is read into the
+    # store as it comes and then sorted once through a dense np.unique.
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", 4)  # a chunk per line
+    for text, want in [("1 0\n0 1\n", [(0, 1), (1, 0)]), ("0 1\n0 1\n1 0\n", [(0, 1), (1, 0)]),
+                       ("0 1\n1 0\n0 2\n", [(0, 1), (0, 2), (1, 0)])]:
+        (tmp_path / "set.txt").write_text(text)
+        calls.clear()
+        assert read_set(tmp_path / "set.txt").items == want and calls == [1]
+    (tmp_path / "set.txt").write_text("0 1\n0 2\n1 0\n")
+    calls.clear()
+    assert read_set(tmp_path / "set.txt").items == [(0, 1), (0, 2), (1, 0)] and calls == []
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _arrays(v)
+
+
+def test_sets_hold_no_dense_array(tmp_path):
+    # After every generator and read_set, what a set holds is its 1-D store,
+    # the (d, 2) spans and the row norms: no (n, d) array.
+    write_set(gen_superposition2(7, 2), tmp_path / "set.txt")
+    for I in (gen_cube(3, 2), gen_axis_cross(4, 3), gen_superposition2(5, 2), read_set(tmp_path / "set.txt"),
+              gen_weighted_hyperbolic(WeightSpec.inverse_square(), 30, 6), FrequencySet([(2, 1), (0, 3)])):
+        I.row_norms  # cached on first use
+        held = [a for slot in FrequencySet.__slots__ for a in _arrays(getattr(I, slot))]
+        assert held and all(a.ndim == 1 or a is I.spans for a in held)
+        assert I.spans.shape == (I.d, 2)
+
+
+def test_axis_cross_at_scale():
+    # d = 10,000: 1,280,001 rows, whose dense array would take 102 GB, and
+    # 1,280,000 nonzeros, 25.6 MB in the store. tracemalloc read 40.5 MB.
+    tracemalloc.start()
+    try:
+        I = gen_axis_cross(10000, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(I), I.d, I.entries[0].shape[0]) == (1_280_001, 10_000, 1_280_000)
+    assert peak < 128 * 10**6
+    assert initial_size(I, MODE_RECONSTRUCTION) == nextprime(len(I) ** 2)
+    assert initial_size(I, MODE_INTEGRATION) == nextprime(2 * (len(I) + 1))
 
 
 def test_construction_copies_ndarray_input():
@@ -348,29 +491,33 @@ def test_hyperbolic_pruned_descent_matches_bruteforce(weights, threshold, dmax, 
     # the tied weights make the bound reach 0 at different depths per branch.
     got = gen_weighted_hyperbolic(weights, threshold, dmax)
     assert got.items == whc_oracle(weights.gamma, threshold, dmax)
-    # The cap counts the cells of the same rows as the unpruned enumeration did.
-    cells = len(got) * dmax
-    monkeypatch.setattr(freqset_mod, "SIZE_CAP", cells)
+    # The cap counts the nonzero components of the same rows, which the set stores.
+    nonzeros = got.entries[0].shape[0]
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", nonzeros)
     assert gen_weighted_hyperbolic(weights, threshold, dmax) == got
-    monkeypatch.setattr(freqset_mod, "SIZE_CAP", cells - 1)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", nonzeros - 1)
     with pytest.raises(ValueError, match="size cap"):
         gen_weighted_hyperbolic(weights, threshold, dmax)
 
 
-def test_hyperbolic_cap_counts_cells(monkeypatch):
-    # Fewer rows than the cap but more cells is refused, as the other
-    # generators refuse; with the cap at 10^8 cells the set below would stop
-    # after 5 * 10^6 rows instead of exhausting memory.
+def test_hyperbolic_cap_counts_nonzeros(monkeypatch):
+    # The cap counts the nonzero components the set will store, as the other
+    # generators count them: fewer rows than the cap but more nonzeros is
+    # refused, and the enumeration stops at the first chunk past the cap
+    # instead of exhausting memory.
     w = WeightSpec.explicit([1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
                             + [Fraction(1, 4)] * 20)
     monkeypatch.setattr(freqset_mod, "SIZE_CAP", 24 * 1000)
     with pytest.raises(ValueError, match="gen_weighted_hyperbolic exceeds the size cap"):
         gen_weighted_hyperbolic(w, 1000, 24)
     small = gen_weighted_hyperbolic(WeightSpec.inverse_square(), 4, 3)
-    monkeypatch.setattr(freqset_mod, "SIZE_CAP", len(small) * 3 - 1)
+    nonzeros = small.entries[0].shape[0]
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", nonzeros - 1)
     assert len(small) < freqset_mod.SIZE_CAP
     with pytest.raises(ValueError, match="size cap"):
         gen_weighted_hyperbolic(WeightSpec.inverse_square(), 4, 3)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", nonzeros)
+    assert gen_weighted_hyperbolic(WeightSpec.inverse_square(), 4, 3) == small
 
 
 def _whc_fraction_descent(weights, threshold, dmax):
@@ -406,17 +553,23 @@ def _whc_weight(weights, k):
     WeightSpec.explicit([Fraction(3, 2), Fraction(5, 4), Fraction(1, 5), Fraction(1, 9)]),
 ], ids=["inverse-square", "explicit", "explicit-above-one"])
 def test_hyperbolic_integer_budget_matches_fraction_descent(weights, monkeypatch):
-    # The rows in the order the generator emits them, which must be natural;
-    # the set takes the generator's array as its own.
-    emitted = []
-    owning = FrequencySet._owning
-    monkeypatch.setattr(FrequencySet, "_owning", lambda rows: emitted.append(rows) or owning(rows))
+    # The rows in the order the generator emits them, block by block, which
+    # must be natural: the set takes the entries of those blocks as its own,
+    # with no re-sort.
+    blocks, emitted = [], []
+    add, of = freqset_mod._RowBlocks.add, FrequencySet._of
+    monkeypatch.setattr(freqset_mod._RowBlocks, "add",
+                        lambda self, block: blocks.append(block.tolist()) or add(self, block))
+    monkeypatch.setattr(FrequencySet, "_of", lambda *store: emitted.append(store) or of(*store))
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: pytest.fail("re-sorted"))
     on_boundary = 0
     for thr in (1, 3, 36, 50, Fraction(77, 3), Fraction(401, 2)):
         want = _whc_fraction_descent(weights, thr, 4)
+        blocks.clear()
         I = gen_weighted_hyperbolic(weights, thr, 4)
-        assert I.array is emitted[-1]
-        assert list(map(tuple, emitted[-1].tolist())) == want == sorted(want)
+        assert I.entries[0] is emitted[-1][2] and I.entries[1] is emitted[-1][3]
+        assert [tuple(row) for block in blocks for row in block] == want == sorted(want)
+        assert I.items == want
         row_weights = [_whc_weight(weights, k) for k in want]
         assert max(row_weights) <= thr
         # rows whose weight is the threshold exactly: the budget reaches 1
@@ -434,19 +587,21 @@ def test_hyperbolic_integer_budget_matches_fraction_descent(weights, monkeypatch
      Fraction(401, 2), 4),
 ], ids=["whc-roundtrip", "whc-warm", "explicit-24", "explicit-above-one"])
 def test_hyperbolic_chunks_match_one_chunk(weights, threshold, dmax, monkeypatch):
-    # The rows are written into the set's array one chunk of _CHUNK_CELLS
-    # components at a time: chunks of one row, of 3 rows and of all rows (the
-    # first and last leave no partial chunk at the end) give the same set.
+    # The rows' nonzeros are collected one chunk of _CHUNK_CELLS components
+    # at a time: chunks of one row, of 3 rows and of all rows (the first and
+    # last leave no partial chunk at the end) give the same set and store.
     whole = gen_weighted_hyperbolic(weights, threshold, dmax)
-    n = len(whole)
+    n, nonzeros = len(whole), whole.entries[0].shape[0]
     for rows in (1, 3, n):
         monkeypatch.setattr(freqset_mod, "_CHUNK_CELLS", rows * dmax)
-        assert np.array_equal(gen_weighted_hyperbolic(weights, threshold, dmax).array, whole.array)
-        # The cap still counts every cell, whichever chunk holds the last row.
-        monkeypatch.setattr(freqset_mod, "SIZE_CAP", n * dmax - 1)
+        got = gen_weighted_hyperbolic(weights, threshold, dmax)
+        assert np.array_equal(got.array, whole.array)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got.entries, whole.entries))
+        # The cap still counts every nonzero, whichever chunk holds the last row.
+        monkeypatch.setattr(freqset_mod, "SIZE_CAP", nonzeros - 1)
         with pytest.raises(ValueError, match="size cap"):
             gen_weighted_hyperbolic(weights, threshold, dmax)
-        monkeypatch.setattr(freqset_mod, "SIZE_CAP", n * dmax)
+        monkeypatch.setattr(freqset_mod, "SIZE_CAP", nonzeros)
         assert len(gen_weighted_hyperbolic(weights, threshold, dmax)) == n
 
 
@@ -568,7 +723,8 @@ def test_expansion_at_most_twice_max_abs():
 # --- size caps -------------------------------------------------------------
 
 def test_size_caps(monkeypatch):
-    # Each guard reads freqset.SIZE_CAP at call time.
+    # Each guard reads freqset.SIZE_CAP at call time. The generators count the
+    # nonzero components they will store, difference_set the cells it builds.
     monkeypatch.setattr(freqset_mod, "SIZE_CAP", 100)
     with pytest.raises(ValueError):
         gen_cube(2, 8)
@@ -581,10 +737,12 @@ def test_size_caps(monkeypatch):
         gen_axis_cross(3, 10)
     with pytest.raises(ValueError):
         gen_superposition2(3, 3)
-    # A cap of exactly the stated count passes; one less raises.
+    # A cap of exactly the stated count passes; one less raises. Nonzeros:
+    # 2 * 4 * 5 in the cube, 2 d N in the axis cross, and 2 d N (1 + 2 (d - 1) N)
+    # in the superposition (6 rows with one nonzero, 12 with two).
     I = gen_cube(1, 1)
-    for make, n in [(lambda: gen_cube(2, 2), 2 * 5**2), (lambda: gen_axis_cross(3, 2), 13),
-                    (lambda: gen_superposition2(3, 1), 19), (lambda: difference_set(I), 9)]:
+    for make, n in [(lambda: gen_cube(2, 2), 40), (lambda: gen_axis_cross(3, 2), 12),
+                    (lambda: gen_superposition2(3, 1), 30), (lambda: difference_set(I), 9)]:
         monkeypatch.setattr(freqset_mod, "SIZE_CAP", n)
         make()
         monkeypatch.setattr(freqset_mod, "SIZE_CAP", n - 1)
@@ -594,6 +752,44 @@ def test_size_caps(monkeypatch):
     # default cap refuses the absurd without enumerating it
     with pytest.raises(ValueError):
         gen_cube(12, 8)
+
+
+_WHC_24 = WeightSpec.explicit([1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 4)] * 20)
+
+
+@pytest.mark.parametrize("make, cap, bound", [
+    # 80,001 rows, within a cap on rows, but 159,600 nonzeros; 128 MB as a dense array.
+    (lambda: gen_superposition2(200, 1), 159_599, 100_000),
+    (lambda: gen_superposition2(1000, 1), 1000, 100_000),  # 16 GB as a dense array
+    (lambda: gen_axis_cross(10000, 64), 1000, 100_000),    # 102 GB dense
+    (lambda: gen_cube(12, 2), 1000, 100_000),
+    (lambda: gen_weighted_hyperbolic(_WHC_24, 1000, 24), 1000, 4_000_000),  # stops after one chunk
+    (lambda: difference_set(gen_axis_cross(3, 5)), 1000, 100_000),
+], ids=["superposition", "superposition-wide", "axis-cross", "cube", "hyperbolic", "difference"])
+def test_size_caps_refuse_before_allocating(monkeypatch, make, cap, bound):
+    # Under a cap below what a set would store, each source refuses before it
+    # allocates that much: the closed forms and difference_set at once, the
+    # hyperbolic enumeration after one chunk of rows.
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size cap"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_difference_set_cap_counts_cells(monkeypatch):
+    # difference_set builds the n^2 differences as one dense (n^2, d) array,
+    # so its cap counts n^2 d cells: 49 rows of 3 components here.
+    I = gen_axis_cross(3, 1)
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", 49 * 3)
+    assert len(difference_set(I)) == 25
+    monkeypatch.setattr(freqset_mod, "SIZE_CAP", 49 * 3 - 1)
+    with pytest.raises(ValueError, match="difference_set exceeds the size cap"):
+        difference_set(I)
 
 
 # --- file I/O -------------------------------------------------------------
@@ -726,17 +922,19 @@ def test_write_set_small_chunks(tmp_path, monkeypatch, cells):
 
 
 def test_format_set_memory_stays_within_a_chunk():
-    # In tracemalloc the %-format this replaced peaked at 15.3 MB here, the byte
-    # passes at 3.1 MB: one chunk's temporaries.
-    I = gen_cube(5, 5)
-    tracemalloc.start()
-    try:
-        for _ in freqset_mod.format_set(I):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
+    # In tracemalloc the %-format this replaced peaked at 15.3 MB on the cube,
+    # the byte passes at 3.2 MB: one dense block of rows, taken from the store,
+    # and its temporaries. On the wide axis cross the set's dense array would
+    # take 16 MB.
+    for I in (gen_cube(5, 5), gen_axis_cross(500, 4)):
+        tracemalloc.start()
+        try:
+            for _ in freqset_mod.format_set(I):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def _signed(magnitude):
@@ -802,7 +1000,8 @@ def test_read_set_round_trips_through_the_byte_parse(tmp_path_factory, case):
     write_set(I, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freqset_mod, "_CHUNK_BYTES", size)
-        assert np.array_equal(freqset_mod._read_layout(path.read_bytes()), I.array)
+        blocks = freqset_mod._read_layout(path.read_bytes())  # the byte parse, not the line rules
+        assert FrequencySet._of(*blocks.store()) == I
         assert read_set(path) == I
 
 
@@ -866,34 +1065,41 @@ def test_byte_parse_refuses_other_text(tmp_path, monkeypatch, name, size):
 def test_byte_parse_reads_the_longest_components(tmp_path, monkeypatch, name, size):
     monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", size)
     data, rows = _ACCEPTED[name]
-    assert freqset_mod._read_layout(data).tolist() == rows
+    # 18 digits pass the parse and fail the set's component limit.
+    assert freqset_mod._chunk_rows(data, 2).tolist() == rows
     path = tmp_path / "set.txt"
     path.write_bytes(data)
     assert _read_or_error(path) == _read_by_int(path)
 
 
 def test_read_set_memory_stays_within_a_chunk(tmp_path):
-    # Beyond the (lines, d) output, one chunk's temporaries: 1.6 MB here in
-    # tracemalloc. Parsing the chunks into arrays of their own and joining them
-    # would hold a second copy of the output (6.4 MB).
-    path = tmp_path / "set.txt"
-    write_set(gen_cube(5, 5), path)
-    data = path.read_bytes()
-    assert len(data) > 8 * freqset_mod._CHUNK_BYTES
-    tracemalloc.start()
-    try:
-        rows = freqset_mod._read_layout(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows.shape == (11**5, 5)
-    assert peak < rows.nbytes + 3_000_000
+    # Beyond the nonzeros it collects (20 bytes each: int64 row and column,
+    # int32 value), one chunk's temporaries: 1.1 MB here in tracemalloc. A
+    # dense cube collects more than its (n, d) array; a wide sparse set far
+    # less, and no block of it spans more than a chunk's lines.
+    for I in (gen_cube(5, 5), gen_axis_cross(500, 4)):
+        path = tmp_path / "set.txt"
+        write_set(I, path)
+        data = path.read_bytes()
+        assert len(data) > 8 * freqset_mod._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            blocks = freqset_mod._read_layout(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for part in blocks.parts for a in part)
+        assert (blocks.n, blocks.nnz) == (len(I), I.entries[0].shape[0])
+        assert held == sum(a.nbytes for a in I.entries)
+        assert peak < held + 3_000_000
+    assert peak < len(I) * I.d * 8 / 4  # the axis cross: 2.5 MB against its 16 MB dense array
 
 
 def test_read_set_drops_the_bytes_before_the_copy(tmp_path):
-    # The parsed rows and the set's checks on them set read_set's peak (11.8 MB
-    # here in tracemalloc, 18.2 MB when the set copied the rows); the file's
-    # 2 MB of bytes still held then would raise it to 13.7 MB.
+    # The merge of the parsed nonzeros into the store sets read_set's peak
+    # (29.3 MB here in tracemalloc): the joined entries, the sort order and
+    # its buffer, and one reordered array, about twice the store's bytes.
+    # The file's 2 MB of bytes still held then would raise it to 31.3 MB.
     path = tmp_path / "set.txt"
     I = gen_cube(5, 5)
     write_set(I, path)
@@ -904,7 +1110,7 @@ def test_read_set_drops_the_bytes_before_the_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert J == I
-    assert peak < 2 * I.array.nbytes
+    assert peak < 2 * sum(a.nbytes for a in I.entries) + path.stat().st_size / 2
 
 
 def _read_by_int(path):
@@ -985,6 +1191,20 @@ def test_read_set_rejects_values_past_int64(tmp_path, value):
     path = tmp_path / "set.txt"
     path.write_text(f"1 2\n{value} 3\n")
     with pytest.raises(ValueError):
+        read_set(path)
+
+
+def test_read_set_names_a_bad_line_past_a_large_component(tmp_path, monkeypatch):
+    # The layout parse hands each chunk to the store as it goes; a component
+    # past COMPONENT_LIMIT in an early chunk still yields to a later line that
+    # is not the layout, which the line rules then name.
+    monkeypatch.setattr(freqset_mod, "_CHUNK_BYTES", 4)  # a chunk per line
+    path = tmp_path / "set.txt"
+    path.write_text(f"{COMPONENT_LIMIT + 1} 1\n1 2\n1 x\n")
+    with pytest.raises(ValueError, match=r"set\.txt:3: malformed frequency line '1 x'"):
+        read_set(path)
+    path.write_text(f"{COMPONENT_LIMIT + 1} 1\n1 2\n")
+    with pytest.raises(ValueError, match="frequency components must satisfy"):
         read_set(path)
 
 
