@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -301,9 +302,13 @@ def build_parser() -> Parser:
     return parser
 
 
+# parse_args leaves the parser as it was, so main builds it once per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,8 +28,9 @@ SIZE_CAP = 10**8
 # A dot product k . z takes the same tiers with max ||k||_1 (cached row_norms).
 COMPONENT_LIMIT = 2**31 - 1
 
-# Components per dense block of rows: format_set's text, iteration and
-# membership, and gen_weighted_hyperbolic's enumeration.
+# Components per chunk of rows: format_set's text, built from the chunk's
+# nonzeros alone (about 2 bytes per component), the dense blocks of iteration
+# and membership, and gen_weighted_hyperbolic's enumeration.
 _CHUNK_CELLS = 1 << 16
 _CHUNK_BYTES = 1 << 17  # bytes of whole lines per chunk of read_set's parse: bounds its memory
 # 10..10^17: a parsed digit at place p weighs 10^p; a written component
@@ -154,19 +155,25 @@ class FrequencySet:
         # int32 values are exact_operand's narrowest tier, which then takes
         # them without a copy.
         values = _int32(values)
-        for a in (rows, cols, values):  # before the per-column views are cut
+        for a in (rows, cols, values):
             a.setflags(write=False)
-        cuts = np.searchsorted(cols, np.arange(1, d))
-        per_col = np.split(values, cuts)
-        spans = []
-        for v in per_col:
-            z = 0 if v.shape[0] < n else v[0]  # 0 is in the range iff a row is 0 here
-            spans.append((int(v.min(initial=z)), int(v.max(initial=z))))
-        bounds = [max(-lo, hi) for lo, hi in spans]
+        starts = np.searchsorted(cols, np.arange(d + 1))
+        counts = np.diff(starts)
+        spans = np.zeros((d, 2), dtype=np.int64)
+        some = counts > 0  # reduceat would take values[start] for an empty column
+        if some.any():
+            spans[some, 0] = np.minimum.reduceat(values, starts[:-1][some])
+            spans[some, 1] = np.maximum.reduceat(values, starts[:-1][some])
+        zero = counts < n  # 0 is in the range iff a row is 0 in the column
+        spans[zero, 0] = np.minimum(spans[zero, 0], 0)
+        spans[zero, 1] = np.maximum(spans[zero, 1], 0)
+        spans.setflags(write=False)
+        cuts = starts.tolist()
+        bounds = np.maximum(-spans[:, 0], spans[:, 1]).tolist()
         self._n = n
-        self._nonzeros = tuple(zip(np.split(rows, cuts), per_col, bounds))
-        self._spans = np.array(spans, dtype=np.int64)
-        self._spans.setflags(write=False)
+        self._nonzeros = tuple((rows[a:b], values[a:b], bound)
+                               for a, b, bound in zip(cuts, cuts[1:], bounds))
+        self._spans = spans
         self._entries = rows, cols, values
         self._norms = None
 
@@ -213,12 +220,13 @@ class FrequencySet:
             self._norms.setflags(write=False)
         return self._norms
 
-    def _blocks(self):
-        """The rows in set order as dense int64 blocks of max(1, _CHUNK_CELLS // d)
-        rows. Each block takes the next entries of every column, found in a
-        window as wide as the block or the longest column, so O(_CHUNK_CELLS + d)
-        is held at a time."""
-        rows, cols, values = self._entries
+    def _chunks(self):
+        """(start, stop, idx) for the rows in set order in chunks of
+        max(1, _CHUNK_CELLS // d) rows: idx are the positions in entries of
+        rows start..stop-1's nonzeros, column by column. Each chunk takes the
+        next entries of every column, found in a window as wide as the chunk or
+        the longest column, so O(_CHUNK_CELLS + d) is held at a time."""
+        rows, cols, _ = self._entries
         n, d = self._n, self.d
         step = max(1, _CHUNK_CELLS // d)
         bounds = np.searchsorted(cols, np.arange(d + 1))
@@ -230,8 +238,14 @@ class FrequencySet:
             take = idx < ends
             take[take] = rows[idx[take]] < stop  # rows ascend within a column
             at += take.sum(axis=1)
-            idx = idx[take]
-            block = np.zeros((stop - start, d), dtype=np.int64)
+            idx = idx[take]  # the window is dropped while the chunk is used
+            yield start, stop, idx
+
+    def _blocks(self):
+        """The rows in set order as dense int64 blocks, one per chunk."""
+        rows, cols, values = self._entries
+        for start, stop, idx in self._chunks():
+            block = np.zeros((stop - start, self.d), dtype=np.int64)
             block[rows[idx] - start, cols[idx]] = values[idx]
             yield block
 
@@ -455,37 +469,65 @@ def max_abs(I: FrequencySet) -> int:
     return int(np.abs(I.spans).max())  # |k_t| <= COMPONENT_LIMIT: no int64 overflow
 
 
-def _chunk_text(block: np.ndarray) -> str:
-    """block's rows as set-file text, built as bytes in a few numpy passes."""
-    d = block.shape[1]
-    flat = block.ravel()
-    neg = flat < 0
-    mag = np.abs(flat).astype(np.int32)  # |v| <= COMPONENT_LIMIT < 2^31
-    digits = np.searchsorted(_POW10[:9], mag, side="right").astype(np.int32) + 1
-    last = np.cumsum(digits + neg + 1, dtype=np.int32)  # int32: a chunk is < 2^16 * 12 bytes
-    last -= 2  # each component's last digit
-    buf = np.empty(int(last[-1]) + 2, dtype=np.uint8)
-    buf[last + 1] = ord(" ")
-    buf[last[d - 1::d] + 1] = ord("\n")
-    buf[(last - digits)[neg]] = ord("-")
-    if digits.max() == 1:
-        buf[last] = mag + ord("0")
+def _chunk_text(zero_row: np.ndarray, m: int, cells: np.ndarray, values: np.ndarray) -> str:
+    """The text of m rows whose nonzero components, values, sit at cells
+    (row * d + column, ascending): zero_row tiled m times and widened at each
+    nonzero by its extra bytes (sign and digits past one), then the signs and
+    digits written over the nonzeros. Only the nonzeros are visited one by one;
+    the zeros cost a copy of their bytes."""
+    buf = np.tile(zero_row, m)
+    if not values.size:
+        return str(memoryview(buf), "ascii")
+    neg = values < 0
+    mag = np.abs(values)  # int32: |v| <= COMPONENT_LIMIT < 2^31
+    top = int(mag.max())
+    digits = np.ones(mag.shape, dtype=np.int32)
+    for power in _POW10[:9]:
+        if power > top:
+            break
+        digits += mag >= power
+    extra = digits - 1
+    extra += neg
+    # Each component's last digit sits on its '0' in buf, moved right by the
+    # extra bytes before it; buf's bytes fill every place but the extra bytes.
+    last = np.cumsum(extra, dtype=np.int32)  # int32: a chunk is < 2^16 * 12 bytes
+    last += 2 * cells
+    keep = np.ones(buf.size + int(extra.sum()), dtype=bool)
+    for j in range(1, int(extra.max()) + 1):
+        keep[(last - j)[extra >= j]] = False
+    text = np.empty(keep.size, dtype=np.uint8)
+    text[keep] = buf
+    del buf, keep  # before the str copy, which sets the peak
+    text[(last - digits)[neg]] = ord("-")
+    if top < 10:
+        text[last] = mag + ord("0")
     else:  # right to left, each pass over the components with digits left
         while mag.size:
             mag, digit = np.divmod(mag, 10)
-            buf[last] = digit + ord("0")
+            text[last] = digit + ord("0")
             more = mag > 0
             mag, last = mag[more], last[more] - 1
-    return str(memoryview(buf), "ascii")
+    return str(memoryview(text), "ascii")
 
 
 def format_set(I: FrequencySet):
     """Yield I's set-file text (one frequency per line, components joined by one
-    space) one dense block of at most _CHUNK_CELLS components at a time. Each
-    chunk is built as bytes in a few numpy passes: no Python object per
-    component, and its temporaries stay under 5 MB whatever |I| and d are."""
-    for block in I._blocks():
-        yield _chunk_text(block)
+    space) one chunk of max(1, _CHUNK_CELLS // d) rows at a time, built from
+    the chunk's nonzeros alone: the zero row's bytes are tiled and widened at
+    each nonzero, so the work is the text's bytes at copy speed plus
+    O(nonzeros), with no Python object per component and no dense block."""
+    rows, cols, values = I.entries
+    d = I.d
+    zero_row = np.full(2 * d, ord(" "), dtype=np.uint8)
+    zero_row[::2] = ord("0")
+    zero_row[-1] = ord("\n")
+    for start, stop, idx in I._chunks():
+        # Row-major: a stable sort by row keeps each row's columns ascending.
+        idx = idx[np.argsort(rows[idx], kind="stable")]
+        cells = (rows[idx] - start).astype(np.int32)  # < 2^31 within a chunk
+        cells *= d
+        cells += cols[idx]
+        yield _chunk_text(zero_row, stop - start, cells, values[idx])
 
 
 def write_set(I: FrequencySet, path) -> None:

@@ -574,3 +574,31 @@ def test_search_reads_a_piped_set(tmp_path):
     assert expected["status"] == "success"
     for text in (gen.stdout, "# header\n" + gen.stdout):
         assert search("/dev/stdin", text) == expected
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # main keeps one parser for the process: subcommands called one after
+    # another in it, reconstruct-demo's fixed mode after an integration search
+    # among them, each give what a fresh process gives.
+    setfile = str(tmp_path / "set.txt")
+    calls = [
+        ["gen", "--set", "anova2", "--d", "3", "--N", "1", "--out", setfile],
+        ["search", setfile, "--seed", "4", "--mode", "integration"],
+        ["reconstruct-demo", setfile, "--seed", "4"],
+        ["search", setfile, "--seed", "4", "--K", "2"],
+        ["gen", "--set", "cube", "--d", "2", "--N", "1"],
+    ]
+
+    def result(rc, out, err):
+        if out.startswith("{"):
+            obj = json.loads(out)
+            out = dict(obj, seconds=None, trail=_trail(obj))
+        return rc, out, err
+
+    capsys.readouterr()
+    for argv in calls:
+        rc = main(argv)
+        here = result(rc, *capsys.readouterr())
+        proc = run_checkout([sys.executable, "-m", "cbclat.cli", *argv])
+        assert here == result(proc.returncode, proc.stdout, proc.stderr), argv
+    assert cli_mod._parser() is cli_mod._parser()

@@ -178,6 +178,45 @@ def test_store_statistics_read_no_dense_array(monkeypatch):
     assert (max_abs(I), expansion(I), int(I.row_norms.max())) == (2, 4, 4)
 
 
+def _split_columns(I):
+    """spans and nonzeros(t) as a per-column np.split of the entries computes them."""
+    rows, cols, values = I.entries
+    cuts = np.searchsorted(cols, np.arange(1, I.d))
+    spans, columns = [], []
+    for r, v in zip(np.split(rows, cuts), np.split(values, cuts)):
+        z = 0 if v.shape[0] < len(I) else v[0]
+        lo, hi = int(v.min(initial=z)), int(v.max(initial=z))
+        spans.append([lo, hi])
+        columns.append((r.tolist(), v.tolist(), max(-lo, hi)))
+    return spans, columns
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FrequencySet([(0, 3, -1), (0, -2, 4), (0, 0, 5)]),  # all-zero first column
+    lambda: FrequencySet([(3, 0, -1), (-2, 0, 4), (1, 0, 0)]),  # all-zero middle column
+    lambda: FrequencySet([(3, -1, 0), (-2, 4, 0), (0, 5, 0)]),  # all-zero last column
+    lambda: FrequencySet([(0, 0, 0, 7, 0, 0)]),  # one nonzero in a single row
+    lambda: FrequencySet([(0, 0), (0, 0)]),  # no nonzero at all
+    lambda: FrequencySet([(4,), (-COMPONENT_LIMIT,), (0,)]),  # d = 1
+    lambda: FrequencySet([(-3,), (5,)]),  # d = 1, no zero
+    lambda: FrequencySet([(-COMPONENT_LIMIT, 0, COMPONENT_LIMIT), (-1, 0, 2)]),
+    lambda: FrequencySet([(0, -5), (3, 0), (4, -7)]),  # one-signed nonzeros beside a 0
+    lambda: gen_axis_cross(300, 2),
+    lambda: gen_superposition2(9, 2),
+    lambda: gen_weighted_hyperbolic(WeightSpec.inverse_square(), 40, 12),
+])
+def test_column_statistics_match_a_per_column_split(make):
+    # spans and the per-column views, cut from the column starts by reduceat,
+    # against a per-column split of the entries.
+    I = make()
+    spans, columns = _split_columns(I)
+    assert I.spans.tolist() == spans
+    for t in range(I.d):
+        r, v, bound = I.nonzeros(t)
+        assert (r.tolist(), v.tolist(), bound) == columns[t] and type(bound) is int
+        assert not r.flags.writeable and not v.flags.writeable
+
+
 def test_row_norms():
     I = FrequencySet([(0, 0, 3), (1, 0, -2), (0, 0, 0), (-1, 5, 0)])
     assert I.row_norms.tolist() == [6, 0, 3, 3]  # rows in natural order
@@ -977,6 +1016,59 @@ def test_format_set_matches_per_element_writer(tmp_path_factory, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(freqset_mod, "_CHUNK_CELLS", cap)
         assert "".join(freqset_mod.format_set(I)).encode("ascii") == path.read_bytes()
+
+
+@st.composite
+def _wide_sparse_set(draw):
+    """Wide rows that are mostly zeros: edge components in the first and last
+    columns, runs of adjacent nonzeros, all-zero rows; and a chunk cap."""
+    d = draw(st.integers(2, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        row = [0] * d
+        kind = draw(st.sampled_from(["zero", "ends", "run", "scattered"]))
+        if kind == "ends":
+            row[0], row[-1] = draw(_signed(st.sampled_from(_EDGES))), draw(_signed(st.sampled_from(_EDGES)))
+        elif kind == "run":
+            at = draw(st.integers(0, d - 1))
+            for t in range(at, min(d, at + draw(st.integers(1, 4)))):
+                row[t] = draw(_component)
+        elif kind == "scattered":
+            for t in draw(st.lists(st.integers(0, d - 1), max_size=3)):
+                row[t] = draw(_component)
+        rows.append(tuple(row))
+    cap = draw(st.sampled_from([1, 2, 5, 7, d, 3 * d - 1, freqset_mod._CHUNK_CELLS]))
+    return FrequencySet(rows), cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_sparse_set())
+@example((FrequencySet([(COMPONENT_LIMIT,) + (0,) * 38 + (-COMPONENT_LIMIT,), (0,) * 40]), 7))
+@example((FrequencySet([(0, -10, 99, -1000, 0), (0,) * 5, (-1, 0, 0, 0, 1)]), 2))
+def test_format_set_matches_per_element_writer_on_wide_sparse_rows(tmp_path_factory, case):
+    I, cap = case
+    path = tmp_path_factory.mktemp("fmtw") / "old.txt"
+    _per_element_write(I, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freqset_mod, "_CHUNK_CELLS", cap)
+        assert "".join(freqset_mod.format_set(I)).encode("ascii") == path.read_bytes()
+
+
+def test_format_set_memory_is_about_one_chunk_of_text():
+    # A chunk of the d = 1,000 axis cross is 65 rows, 2 bytes per component
+    # of text (130 KB). Formatting from the nonzeros peaked at 0.62 MB in
+    # tracemalloc: the chunk's text as bytes, widened and as str, and the
+    # previous chunk's str. Filling a dense block first peaked at 2.05 MB.
+    I = gen_axis_cross(1000, 4)
+    text = 2 * (freqset_mod._CHUNK_CELLS // I.d) * I.d
+    tracemalloc.start()
+    try:
+        for _ in freqset_mod.format_set(I):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * text
 
 
 @st.composite
