@@ -2,12 +2,21 @@
 a pair-deduplicating reference kernel kept here as an oracle."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from cbclat.freqset import COMPONENT_LIMIT, FrequencySet
+from cbclat import kernels
+from cbclat.freqset import (
+    COMPONENT_LIMIT,
+    FrequencySet,
+    gen_axis_cross,
+    gen_cube,
+    gen_superposition2,
+)
+from cbclat.heuristic import heuristic_search
 from cbclat.kernels import (
     ResidueState,
     check_exactness_integration,
@@ -25,7 +34,7 @@ from cbclat.lattice import (
 )
 from cbclat.primes import is_prime, nextprime
 from cbclat.search import CbcResult, cbc_construct, cbc_construct_basic, \
-    two_step_permutation
+    cbc_exhaustive, two_step_permutation
 
 # Natural order of {(0,0),(1,0),(0,1)} is (0,0), (0,1), (1,0); hand traces
 # below are written against that row order.
@@ -117,6 +126,10 @@ def test_residue_state_validation():
     # The state owns a writable int64 copy: commits never reach the caller's array.
     assert state.values.dtype == np.int64 and state.values.flags.writeable
     assert not np.shares_memory(state.values, given)
+    # A numpy integer M is kept as a Python int, which pow reads in the inverse table.
+    assert type(ResidueState(given, np.int64(5)).M) is int
+    with pytest.raises(TypeError):
+        ResidueState(given, 5.0)
     with pytest.raises(ValueError):
         ResidueState(np.array([5]), 5)
     with pytest.raises(ValueError):
@@ -497,7 +510,7 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
     # 0, or two prefixes driven onto one residue), M - 1, M - 2 and random
     # ones; every verdict must match the direct verifier on the projected set,
     # and every carried state the recomputed residues. dtype is the one the
-    # step's residues and components must be computed in.
+    # step's components must be computed in.
     I = _big_instance(rng, 4, 12, limit)
     ok, state = init_residues(I, M, mode)
     assert ok
@@ -505,7 +518,9 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
     verdicts = []
     for ell in range(1, I.d):
         step = prepare_step(state, I, ell, mode)
-        assert step.v.dtype == step.k.dtype == step.dk.dtype == dtype
+        assert step.k.dtype == step.dk.dtype == dtype
+        # Integration keeps the buffer's int64 residues; reconstruction sorts them in dtype.
+        assert step.v.dtype == (np.int64 if mode == "integration" else dtype)
         # The step takes column ell from I.nonzeros: it must match the dense array.
         assert step.k.tolist() == I.array[step.rows, ell].tolist()
         assert step.dk.tolist() == I.array[step.moved, ell].tolist()
@@ -525,10 +540,17 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
         for y in [forced, M - 1, M - 2] + [rng.randrange(M) for _ in range(4)]:
             good, cand = _kernel(mode)(step, y)
             assert good == _verifier(mode)(Rank1Lattice(M, tuple(z) + (y,)), proj)
+            # The step has rejected the forced candidate; a fresh one has rejected none.
+            fresh, fresh_cand = _kernel(mode)(prepare_step(state, I, ell, mode), y)
+            assert fresh == good
+            assert (cand is None) == (fresh_cand is None)
+            assert cand is None or cand.tolist() == fresh_cand.tolist()
             verdicts.append((ell, y, good))
             if good and accepted is None:
                 accepted = (y, cand)
         assert not verdicts[-7][2]  # the forced candidate
+        # M is far above 8 rows here: an integration step keeps its per-candidate check.
+        assert step.forbidden == (b"" if mode == "integration" else None)
         assert accepted is not None
         z.append(accepted[0])
         commit(step, accepted[1])
@@ -576,3 +598,111 @@ def test_kernels_exact_at_int32_bound(mode, side):
         M = nextprime((2**31 - 1) // (limit - 6))
     seed = {"int32": 5, "int64": 7}[side] + (mode == "integration")
     _walk_near_bound(M, mode, random.Random(seed), np.dtype(side), limit)
+
+
+# (moduli, max|k|, row counts) of the sets each case draws. The first three
+# are where an integration step must keep its per-candidate check: k_l with
+# no inverse mod a composite M, k_l = 0 mod M, and M > 8 rows. In the last,
+# every step that rejects a candidate builds its mask.
+MASK_CASES = {
+    "composite M": ((12, 15, 21, 25, 27), 4, (6, 24)),
+    "k_l = 0 mod M": ((2, 3, 5, 7), 8, (6, 24)),
+    "M above 8 rows": ((61, 67, 71), 3, (2, 6)),
+    "mask": ((11, 13, 17), 3, (12, 30)),
+}
+
+
+def _mask_expected(step):
+    # The rule a step's first rejection decides by, stated from the step's components.
+    k, M = step.k.tolist(), step.state.M
+    return max(map(abs, k)) < M <= 8 * len(k) and all(math.gcd(x, M) == 1 for x in k)
+
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_integration_mask_matches_direct_verifier(case):
+    # Criterion 03 for the mask: at every step, every y in 0..M-1 is checked on a
+    # fresh step (before any rejection) and again on one step after its first
+    # rejection, against the direct verifier on the projected set and the
+    # reference kernel, verdicts and returned residues alike.
+    moduli, kmax, (low, high) = MASK_CASES[case]
+    rng = random.Random(sorted(MASK_CASES).index(case))
+    decided = {True: 0, False: 0}
+    for _ in range(40):
+        d, n, M = rng.randrange(2, 5), rng.randrange(low, high + 1), rng.choice(moduli)
+        # first components in -1..1, so that small M pass init_residues
+        I = FrequencySet([[rng.randrange(-1, 2)] + [rng.randrange(-kmax, kmax + 1)
+                                                   for _ in range(d - 1)] for _ in range(n)])
+        ok, state = init_residues(I, M, "integration")
+        assert ok
+        z = [1]
+        for ell in range(1, I.d):
+            step = prepare_step(state, I, ell, "integration")
+            proj = FrequencySet(I.array[:, : ell + 1])
+            want = []
+            for y in range(M):
+                good, shifted = _ref_integration(I.array[:, ell], state.values, M, y)
+                assert good == verify_integration(Rank1Lattice(M, tuple(z) + (y,)), proj)
+                want.append((good, shifted[step.moved].tolist() if good else None))
+
+            def got(step, y):
+                good, r = check_exactness_integration(step, y)
+                return good, None if r is None else r.tolist()
+
+            assert [got(prepare_step(state, I, ell, "integration"), y) for y in range(M)] == want
+            rejected = [y for y in range(M) if not want[y][0]]
+            if rejected:
+                assert got(step, rejected[0]) == (False, None)
+                assert (step.forbidden != b"") == _mask_expected(step)
+                decided[step.forbidden != b""] += 1
+            assert [got(step, y) for y in range(M)] == want
+            accepted = next((y for y in range(M) if want[y][0]), None)
+            if accepted is None:
+                break
+            z.append(accepted)
+            commit(step, np.array(want[accepted][1], dtype=np.int64))
+    assert decided[case == "mask"] > 20
+    if case == "M above 8 rows":
+        assert decided[True] == 0
+
+
+SWITCH_SETS = {
+    "superposition2(8, 1)": lambda: gen_superposition2(8, 1),
+    "cube(3, 2)": lambda: gen_cube(3, 2),
+    "axis_cross(6, 4)": lambda: gen_axis_cross(6, 4),
+}
+
+
+def _integration_results(I):
+    searches = [heuristic_search(I, "integration", K=5, T=100, rng=random.Random(seed))
+                for seed in range(1, 9)]
+    sizes = sorted({e.M_tilde for s in searches for e in s.trail})
+    return (
+        [(s.status, s.M, s.z, [(e.M_tilde, e.attempts, e.ok) for e in s.trail]) for s in searches],
+        [cbc_construct_basic(I, M, "integration", random.Random(seed))
+         for M in sizes for seed in range(1, 9)],
+        [cbc_exhaustive(I, M, "integration") for M in sizes],
+    )
+
+
+@pytest.mark.parametrize("name", SWITCH_SETS)
+def test_mask_switch_never_changes_a_result(monkeypatch, name):
+    # The three integration drivers give the same results whether the mask is
+    # built by the default rule, at every rejecting step where each k_l has an
+    # inverse mod M, or never. The default builds it on every set here, and
+    # never where M > 8 rows, as at the first size of axis_cross(6, 4).
+    I = SWITCH_SETS[name]()
+    forbidden, built = kernels._forbidden, []
+
+    def counted(step):
+        mask = forbidden(step)
+        built[-1] += mask != b""
+        return mask
+
+    monkeypatch.setattr(kernels, "_forbidden", counted)
+    results = []
+    for pays in (kernels._mask_pays, lambda M, rows, bound: True, lambda M, rows, bound: False):
+        monkeypatch.setattr(kernels, "_mask_pays", pays)
+        built.append(0)
+        results.append(_integration_results(I))
+    assert results[0] == results[1] == results[2]
+    assert built[2] == 0 < built[0] <= built[1]
