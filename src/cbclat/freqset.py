@@ -128,7 +128,7 @@ class FrequencySet:
     the rows in O(n d). Rows given already sorted go into the store as they
     are; any others are sorted through one dense np.unique."""
 
-    __slots__ = ("_n", "_entries", "_nonzeros", "_spans", "_norms")
+    __slots__ = ("_n", "_entries", "_nonzeros", "_spans", "_norms", "_classes")
 
     def __init__(self, rows):
         arr = _integers(rows)
@@ -175,7 +175,7 @@ class FrequencySet:
                                for a, b, bound in zip(cuts, cuts[1:], bounds))
         self._spans = spans
         self._entries = rows, cols, values
-        self._norms = None
+        self._norms = self._classes = None
 
     @property
     def d(self) -> int:
@@ -219,6 +219,37 @@ class FrequencySet:
             np.add.at(self._norms, rows, np.abs(values, dtype=np.int64))
             self._norms.setflags(write=False)
         return self._norms
+
+    @property
+    def prefix_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, counts), read-only, built from the entries on first use and
+        kept: a row's birth is the first column where it differs from the row
+        before it (0 for the first row), order is the rows stably sorted by
+        birth and counts[t] the number of births <= t. So order[:counts[t]]
+        holds the first row of each distinct length-(t + 1) prefix, in set
+        order within a birth. O(nnz) for the births, O(n log n) for the order."""
+        if self._classes is None:
+            rows, cols, values = self._entries
+            n, d = self._n, self.d
+            # Entry i + 1 continues entry i where it holds the same value in the
+            # same column one row down; every other entry starts (ends) a run,
+            # and its row (the row after it) differs from the row before in its column.
+            same = (rows[1:] == rows[:-1] + 1) & (cols[1:] == cols[:-1]) & (values[1:] == values[:-1])
+            start = np.ones(rows.shape[0], dtype=bool)
+            start[1:] = ~same
+            end = np.ones(rows.shape[0], dtype=bool)
+            end[:-1] = ~same
+            end &= rows < n - 1
+            birth = np.full(n, d, dtype=np.int64)
+            np.minimum.at(birth, rows[start], cols[start])
+            np.minimum.at(birth, rows[end] + 1, cols[end])
+            birth[0] = 0
+            order = np.argsort(birth, kind="stable")
+            counts = np.cumsum(np.bincount(birth, minlength=d)[:d])
+            order.setflags(write=False)
+            counts.setflags(write=False)
+            self._classes = order, counts
+        return self._classes
 
     def _chunks(self):
         """(start, stop, idx) for the rows in set order in chunks of

@@ -5,16 +5,17 @@ k_j . (z_1..z_l, 0..) mod M of I's rows, in set order. Both kernels test a
 candidate y for step l against it:
 
   integration:    accept iff (nu_j + y k_{j,l}) mod M != 0 wherever k_{j,l} != 0
-  reconstruction: accept iff the distinct length-l prefixes of I keep
+  reconstruction: accept iff the distinct length-(l+1) prefixes of I keep
                   pairwise distinct residues nu_j + y k_{j,l} mod M
 
-Distinct prefixes keep distinct residues, so a residue names its prefix
-class: a successful init and every accepted step leave them so. Rows sharing
-a prefix are contiguous in natural order, so row j starts a new length-l
-prefix exactly where nu_j != nu_{j-1} or k_{j,l} != k_{j-1,l}; reconstruction
-reads one row per distinct prefix, the projected set the direct verifier
-reads. Integration reads only the rows with k_{j,l} != 0. Both take column l
-from FrequencySet.nonzeros, the set's own store.
+Integration reads only the rows with k_{j,l} != 0. Reconstruction reads one
+row per prefix class (distinct length-(l+1) prefix), the projected set the
+direct verifier reads: the first order[:counts[l]] rows of
+FrequencySet.prefix_classes, a stable order of the rows by the first column
+in which each differs from the row before it, built once per set. Both take
+column l from FrequencySet.nonzeros, the set's own store. Distinct length-l
+prefixes keep distinct residues: a successful init and every accepted step
+leave them so.
 
 prepare_step selects those rows once per step; a candidate then costs one
 (v + y k) mod M over them and a zero test or a sort. No check writes the
@@ -32,8 +33,17 @@ later candidate is one lookup, and an accepted y still gets its residues from
 one O(rows) pass. The mask is built only where M <= 8 rows, max|k_l| < M and
 every k_{j,l} has an inverse; elsewhere (a composite M sharing a factor with
 some k_{j,l}, an M dividing some k_{j,l}, an M large against the step's rows)
-the step keeps the per-candidate check. Reconstruction forbids y for pairs
-of rows, O(p^2) per step, and keeps its per-candidate sort.
+the step keeps the per-candidate check.
+
+Only the m moved classes of a reconstruction step (k_l != 0) change residue;
+the static ones (k_l = 0) have distinct length-l prefixes, so their residues
+are pairwise distinct whatever y is. So the step's first rejection, after its
+one O(p log p) sort of all p classes, marks the static residues in a mask of
+M bytes and keeps the moved classes alone: every later candidate reduces
+(v + y k) mod M over those m, and rejects y where one hits the mask or two
+meet after a sort. The mask is built only where M <= 64 p and the step is
+outside the Python-int tier (an array index takes no Python ints); elsewhere
+the step keeps the sort over all its classes.
 
 Components pass through lattice.exact_operand once per step, with the max|k_l|
 that FrequencySet.nonzeros keeps: int32 while M (max|k_l| + 1) < 2^31, int64
@@ -79,14 +89,16 @@ class ResidueState:
 
 
 class Step:
-    """A step's y-independent part: the rows the verdict reads, their residues v
-    and components k, and the rows with k_l != 0 (the rows y moves) with their
-    components dk and max|dk|, bound. k and dk are signed and in exact_operand's
-    dtype; v is in it too for reconstruction and int64 for integration, so
-    v + y k is exact. v is a copy, stale once the step is committed.
-    forbidden is None until an integration step's first rejection, then the
-    step's mask of M bytes (1 where y mod M is rejected), or b"" where the
-    step keeps the per-candidate check."""
+    """A step's y-independent part: the rows the verdict reads (as indices),
+    their residues v and components k, and the rows with k_l != 0 (the rows y
+    moves) with their components dk and max|dk|, bound. k and dk are signed and
+    in exact_operand's dtype; v is in it too for reconstruction and int64 for
+    integration, so v + y k is exact. v is a copy, stale once the step is
+    committed. forbidden is None until the step's first rejection, then b""
+    where the step keeps the per-candidate check, or its mask: for
+    integration M bytes, 1 where y mod M is rejected; for reconstruction M
+    bools, True at the static classes' residues, with rows, v and k narrowed
+    to the moved classes."""
 
     __slots__ = ("state", "rows", "v", "k", "moved", "dk", "bound", "forbidden")
 
@@ -94,7 +106,7 @@ class Step:
                  moved: np.ndarray, dk: np.ndarray, bound: int):
         self.state, self.rows, self.v, self.k = state, rows, v, k
         self.moved, self.dk, self.bound = moved, dk, bound
-        self.forbidden: bytes | None = None
+        self.forbidden: bytes | np.ndarray | None = None
 
 
 def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> Step:
@@ -103,7 +115,7 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     state holds the residues of I's rows over components 0..ell-1, and the
     distinct length-ell prefixes of I must have distinct residues in it, as
     after a successful init_residues and after every committed step: a
-    reconstruction step tells the prefixes apart by their residues alone.
+    reconstruction step's mask takes its static classes' residues as distinct.
     """
     if len(I) != state.values.shape[0]:
         raise ValueError("frequency set size disagrees with residue vector")
@@ -115,12 +127,13 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
         return Step(state, moved, state.values[moved], dk, moved, dk, bound)
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
+    order, counts = I.prefix_classes
+    rows = order[:counts[ell]]  # one row per distinct length-(ell + 1) prefix
     # col is column ell in dk's dtype: dk's values and zeros, so it stays exact.
-    nu, col = state.values, np.zeros(len(I), dtype=dk.dtype)
+    col = np.zeros(len(I), dtype=dk.dtype)
     col[moved] = dk
-    rows = np.ones(nu.shape[0], dtype=bool)
-    rows[1:] = (nu[1:] != nu[:-1]) | (col[1:] != col[:-1])
-    return Step(state, rows, nu[rows].astype(dk.dtype, copy=False), col[rows], moved, dk, bound)
+    v = state.values[rows].astype(dk.dtype, copy=False)
+    return Step(state, rows, v, col[rows], moved, dk, bound)
 
 
 def _shifted(step: Step, y: int) -> np.ndarray:
@@ -221,13 +234,43 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, np.ndarray | 
     return False, None
 
 
+def _static_mask_pays(M: int, classes: int) -> bool:
+    """Whether a reconstruction step builds its mask: M <= 64 classes keeps the
+    mask's M bytes within 16 times those of the step's int32 residues."""
+    return M <= 64 * classes
+
+
+def _split(step: Step) -> None:
+    """Set step.forbidden to the mask of the static classes' residues (k_l = 0)
+    as M bools, and narrow rows, v and k to the moved classes; or to b"" where
+    the mask does not pay or the step computes in Python ints, which no array
+    index takes."""
+    M = step.state.M
+    if step.k.dtype == object or not _static_mask_pays(M, step.v.shape[0]):
+        step.forbidden = b""
+        return
+    moving = step.k != 0
+    mask = np.zeros(M, dtype=bool)
+    mask[step.v[~moving]] = True
+    step.rows, step.v, step.k = step.rows[moving], step.v[moving], step.k[moving]
+    step.forbidden = mask
+
+
 def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, np.ndarray | None]:
-    """Reconstruction admissibility of candidate y, O(p log p) for p prefixes.
+    """Reconstruction admissibility of candidate y: O(p log p) for p prefix
+    classes up to the step's first rejection, which may split the step; after
+    it, O(m log m) for its m moved classes.
 
     Rows agreeing on the whole prefix count once; rows whose components are
     congruent mod M but distinct as integers stay separate, so their meeting
     residues reject y. Returns the verdict and, only if True, step.moved's new residues.
     """
-    if not _reconstruction_ok(_shifted(step, y)):
+    mask = step.forbidden
+    r = _shifted(step, y)
+    if mask is not None and len(mask) and mask[r].any():
+        return False, None
+    if not _reconstruction_ok(r):
+        if mask is None:
+            _split(step)
         return False, None
     return True, _moved(step, y)

@@ -111,6 +111,16 @@ def _prefix_mask(I, length):
     return [True] + np.any(prefix[1:] != prefix[:-1], axis=1).tolist()
 
 
+def _prefix_rows(I, length):
+    """The indices of the rows _prefix_mask marks, ascending."""
+    return np.flatnonzero(_prefix_mask(I, length)).tolist()
+
+
+def _sorted_rows(step):
+    """The rows a step reads, which it may hold in any order, ascending."""
+    return sorted(step.rows.tolist())
+
+
 def _kernel(mode):
     return check_exactness_integration if mode == "integration" else check_exactness_reconstruction
 
@@ -160,7 +170,7 @@ def test_init_residues_reconstruction():
     ok, state = init_residues(I, 5, "reconstruction")
     assert ok
     assert state.values.tolist() == [0, 0, 3]
-    assert prepare_step(state, I, 1, "reconstruction").rows.tolist() == _prefix_mask(I, 2)
+    assert _sorted_rows(prepare_step(state, I, 1, "reconstruction")) == _prefix_rows(I, 2)
 
 
 def test_init_residues_input_checks():
@@ -229,7 +239,7 @@ def test_reconstruction_kernel_hand_trace():
     assert ok
     assert state.values.tolist() == [0, 0, 1]
     step = prepare_step(state, TRIPLE, 1, "reconstruction")  # column (0, 1, 0)
-    assert step.rows.tolist() == [True, True, True]
+    assert _sorted_rows(step) == _prefix_rows(TRIPLE, 2) == [0, 1, 2]
     assert step.moved.tolist() == [1]
     good, r1 = check_exactness_reconstruction(step, 1)
     assert not good  # residues (0, 1, 1) collide
@@ -276,7 +286,7 @@ def test_reconstruction_kernel_row_permutation_invariant():
             continue
         kcol = I.array[:, -1]
         step = prepare_step(ResidueState(values, M), I, I.d - 1, "reconstruction")
-        assert step.rows.tolist() == _prefix_mask(I, I.d)
+        assert _sorted_rows(step) == _prefix_rows(I, I.d)
         perm = list(range(len(I)))
         rng.shuffle(perm)
         for y in range(M):
@@ -297,7 +307,7 @@ def test_duplicate_projections_do_not_false_negative():
     step = prepare_step(state, I, 1, "reconstruction")
     proj = FrequencySet(I.array[:, :2])
     assert len(proj) == 1
-    assert step.rows.tolist() == [True, False]
+    assert _sorted_rows(step) == _prefix_rows(I, 2) == [0]
     for y in range(M):
         good, _ = check_exactness_reconstruction(step, y)
         assert good == verify_reconstruction(Rank1Lattice(M, (1, y)), proj)
@@ -354,7 +364,7 @@ def _assert_next_rows(state, I, ell, mode):
     if mode == "integration":
         assert rows.tolist() == np.flatnonzero(I.array[:, ell]).tolist()
     else:
-        assert rows.tolist() == _prefix_mask(I, ell + 1)
+        assert sorted(rows.tolist()) == _prefix_rows(I, ell + 1)
 
 
 def test_carried_residues_match_recomputation():
@@ -531,7 +541,7 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
             forced = (-nu[j] * pow(col[j], -1, M)) % M
         else:
             mask = _prefix_mask(I, ell + 1)
-            assert step.rows.tolist() == mask
+            assert _sorted_rows(step) == _prefix_rows(I, ell + 1)
             rows = [j for j in range(len(I)) if mask[j]]
             i, j = next((i, j) for i in rows for j in rows if (col[i] - col[j]) % M)
             forced = ((nu[j] - nu[i]) * pow(col[i] - col[j], -1, M)) % M
@@ -549,8 +559,9 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
             if good and accepted is None:
                 accepted = (y, cand)
         assert not verdicts[-7][2]  # the forced candidate
-        # M is far above 8 rows here: an integration step keeps its per-candidate check.
-        assert step.forbidden == (b"" if mode == "integration" else None)
+        # M is far above 8 rows (64 prefix classes) here: an integration step
+        # (a reconstruction step) keeps its per-candidate check.
+        assert step.forbidden == b""
         assert accepted is not None
         z.append(accepted[0])
         commit(step, accepted[1])
@@ -704,5 +715,127 @@ def test_mask_switch_never_changes_a_result(monkeypatch, name):
         monkeypatch.setattr(kernels, "_mask_pays", pays)
         built.append(0)
         results.append(_integration_results(I))
+    assert results[0] == results[1] == results[2]
+    assert built[2] == 0 < built[0] <= built[1]
+
+
+# Rules a reconstruction step's first rejection may decide by: the default,
+# M <= 64 prefix classes, always and never.
+STATIC_RULES = {
+    "default": kernels._static_mask_pays,
+    "always": lambda M, classes: True,
+    "never": lambda M, classes: False,
+}
+
+
+def _tier_instance(rng, tier):
+    # Components in -3..3, plus some that are 0 mod M and some congruent mod M
+    # to another component of their column, all nonzero. In the int64 tier
+    # every nonzero component is raised by a large multiple of M, so that
+    # M (max|k| + 1) >= 2^31 at the small M drawn here.
+    d, n = rng.randrange(2, 5), rng.randrange(2, 16)
+    M = rng.choice([7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 1021])
+    big = (COMPONENT_LIMIT // M - 3) * M if tier == "int64" else 0
+    rows = []
+    for _ in range(n):
+        row = [rng.randrange(-1, 2)] + [rng.randrange(-3, 4) for _ in range(d - 1)]
+        t = rng.randrange(1, d)
+        pick = rng.random()
+        if pick < 0.2:
+            row[t] = rng.choice((-1, 1)) * M
+        elif pick < 0.4:
+            row[t] = rng.choice((-3, -2, -1, 1, 2, 3)) + rng.choice((-1, 1)) * M
+        rows.append([k + (big if k > 0 else -big if k < 0 else 0) for k in row])
+        # a row sharing all but its last component, so a prefix class holds two rows
+        if rng.random() < 0.3:
+            rows.append(rows[-1][:-1] + [rng.randrange(-3, 4)])
+    return FrequencySet(rows), M
+
+
+@pytest.mark.parametrize("rule", STATIC_RULES)
+@pytest.mark.parametrize("tier", ["int32", "int64", "object"])
+def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
+    # Criterion 03 for the split reconstruction step: at every step, every y in
+    # 0..M-1 on a fresh step (before any rejection) and again on one step after
+    # its first rejection, verdicts and returned residues, against the direct
+    # verifier on the projected set. The object tier forces exact_operand's
+    # Python ints at these small M, where an array index by such residues
+    # raises IndexError: its steps keep the dense check under every rule.
+    monkeypatch.setattr(kernels, "_static_mask_pays", STATIC_RULES[rule])
+    if tier == "object":
+        monkeypatch.setattr(kernels, "exact_operand", lambda k, M, bound=None: k.astype(object))
+    rng = random.Random(f"{tier}-{rule}")
+    decided = {True: 0, False: 0}
+    walked = 0
+    while walked < 30:
+        I, M = _tier_instance(rng, tier)
+        ok, state = init_residues(I, M, "reconstruction")
+        if not ok:
+            continue
+        walked += 1
+        z = [1]
+        for ell in range(1, I.d):
+            step = prepare_step(state, I, ell, "reconstruction")
+            assert step.k.dtype == np.dtype(tier)
+            proj = FrequencySet(I.array[:, : ell + 1])
+            want = []
+            for y in range(M):
+                good = verify_reconstruction(Rank1Lattice(M, tuple(z) + (y,)), proj)
+                padded = z + [y] + [0] * (I.d - len(z) - 1)
+                want.append((good, _residues(I, M, padded)[step.moved].tolist() if good else None))
+
+            def got(step, y):
+                good, r = check_exactness_reconstruction(step, y)
+                return good, None if r is None else r.tolist()
+
+            assert [got(prepare_step(state, I, ell, "reconstruction"), y) for y in range(M)] == want
+            rejected = [y for y in range(M) if not want[y][0]]
+            if rejected:
+                classes = step.rows.shape[0]
+                assert got(step, rejected[0]) == (False, None)
+                built = isinstance(step.forbidden, np.ndarray)
+                assert built == (tier != "object" and STATIC_RULES[rule](M, classes))
+                assert built or step.forbidden == b""
+                if built:  # the mask marks the static classes' residues; the step keeps the moved
+                    col = I.array[:, ell]
+                    static = [j for j in _prefix_rows(I, ell + 1) if col[j] == 0]
+                    assert np.flatnonzero(step.forbidden).tolist() == sorted(state.values[static])
+                    assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
+                decided[built] += 1
+            assert [got(step, y) for y in range(M)] == want
+            accepted = next((y for y in range(M) if want[y][0]), None)
+            if accepted is None:
+                break
+            z.append(accepted)
+            commit(step, np.array(want[accepted][1], dtype=np.int64))
+    # Each rule has decided both ways where it can, and only where it can.
+    assert (decided[True] > 0) == (tier != "object" and rule != "never")
+    assert (decided[False] > 0) == (tier == "object" or rule != "always")
+
+
+@pytest.mark.parametrize("name", SWITCH_SETS)
+def test_static_mask_switch_never_changes_a_result(monkeypatch, name):
+    # The reconstruction drivers give the same results whether the static mask
+    # is built by the default rule, at every step's first rejection, or never.
+    I = SWITCH_SETS[name]()
+    split, built = kernels._split, []
+
+    def counted(step):
+        split(step)
+        built[-1] += isinstance(step.forbidden, np.ndarray)
+
+    monkeypatch.setattr(kernels, "_split", counted)
+    results = []
+    for rule in STATIC_RULES.values():
+        monkeypatch.setattr(kernels, "_static_mask_pays", rule)
+        built.append(0)
+        searches = [heuristic_search(I, "reconstruction", K=5, T=100, rng=random.Random(seed))
+                    for seed in range(1, 9)]
+        M = searches[0].M
+        results.append((
+            [(s.status, s.M, s.z, [(e.M_tilde, e.attempts, e.ok) for e in s.trail]) for s in searches],
+            [cbc_construct_basic(I, M, "reconstruction", random.Random(seed)) for seed in range(1, 9)],
+            cbc_exhaustive(I, M, "reconstruction"),
+        ))
     assert results[0] == results[1] == results[2]
     assert built[2] == 0 < built[0] <= built[1]
