@@ -221,12 +221,12 @@ class FrequencySet:
         return self._norms
 
     @property
-    def prefix_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, counts), read-only, built from the entries on first use and
-        kept: a row's birth is the first column where it differs from the row
-        before it (0 for the first row), order is the rows stably sorted by
-        birth and counts[t] the number of births <= t. So order[:counts[t]]
-        holds the first row of each distinct length-(t + 1) prefix, in set
+    def prefix_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, counts, birth), read-only, built from the entries on first
+        use and kept: birth[j] is the first column where row j differs from the
+        row before it (0 for row 0), order is the rows stably sorted by birth and
+        counts[t] the number of births <= t. So order[:counts[t]], the rows born
+        by t, holds the first row of each distinct length-(t + 1) prefix, in set
         order within a birth. O(nnz) for the births, O(n log n) for the order."""
         if self._classes is None:
             rows, cols, values = self._entries
@@ -246,9 +246,9 @@ class FrequencySet:
             birth[0] = 0
             order = np.argsort(birth, kind="stable")
             counts = np.cumsum(np.bincount(birth, minlength=d)[:d])
-            order.setflags(write=False)
-            counts.setflags(write=False)
-            self._classes = order, counts
+            for a in (order, counts, birth):
+                a.setflags(write=False)
+            self._classes = order, counts, birth
         return self._classes
 
     def _chunks(self):

@@ -8,14 +8,13 @@ candidate y for step l against it:
   reconstruction: accept iff the distinct length-(l+1) prefixes of I keep
                   pairwise distinct residues nu_j + y k_{j,l} mod M
 
-Integration reads only the rows with k_{j,l} != 0. Reconstruction reads one
-row per prefix class (distinct length-(l+1) prefix), the projected set the
-direct verifier reads: the first order[:counts[l]] rows of
-FrequencySet.prefix_classes, a stable order of the rows by the first column
-in which each differs from the row before it, built once per set. Both take
-column l from FrequencySet.nonzeros, the set's own store. Distinct length-l
-prefixes keep distinct residues: a successful init and every accepted step
-leave them so.
+Integration reads only the rows with k_{j,l} != 0. Reconstruction reads the
+prefix classes (distinct length-(l+1) prefixes) through
+FrequencySet.prefix_classes: a row's birth is the first column in which it
+differs from the row before it, so the rows born at or before l hold one row
+per class. Both take column l from FrequencySet.nonzeros, the set's own store.
+Distinct length-l prefixes keep distinct residues: a successful init and every
+accepted step leave them so.
 
 prepare_step selects those rows once per step; a candidate then costs one
 (v + y k) mod M over them and a zero test or a sort. No check writes the
@@ -35,15 +34,17 @@ every k_{j,l} has an inverse; elsewhere (a composite M sharing a factor with
 some k_{j,l}, an M dividing some k_{j,l}, an M large against the step's rows)
 the step keeps the per-candidate check.
 
-Only the m moved classes of a reconstruction step (k_l != 0) change residue;
-the static ones (k_l = 0) have distinct length-l prefixes, so their residues
-are pairwise distinct whatever y is. So the step's first rejection, after its
-one O(p log p) sort of all p classes, marks the static residues in a mask of
-M bytes and keeps the moved classes alone: every later candidate reduces
-(v + y k) mod M over those m, and rejects y where one hits the mask or two
-meet after a sort. The mask is built only where M <= 64 p and the step is
-outside the Python-int tier (an array index takes no Python ints); elsewhere
-the step keeps the sort over all its classes.
+By that invariant the buffer holds one distinct residue per current prefix
+class, and a reconstruction attempt marks them in one occupancy mask of M
+bools, ResidueState.taken, built after a successful init where M <= 64 |I|.
+Step l moves only its m classes with k_l != 0: the rows of I.nonzeros(l) born
+at or before l. Where each parent class keeps a child with k_l = 0 (the
+counts[l-1] - counts[l] + m that do not are 0 on every downward-closed set),
+the mask holds the static classes' residues: a candidate reduces
+(v + y k) mod M over the m moved classes alone, is rejected where one hits
+the mask or two meet after a sort, and commit marks the new residues. At a
+step where some parent has none, the attempt drops the mask; off it, each
+candidate sorts the residues of all p = counts[l] classes.
 
 Components pass through lattice.exact_operand once per step, with the max|k_l|
 that FrequencySet.nonzeros keeps: int32 while M (max|k_l| + 1) < 2^31, int64
@@ -72,9 +73,10 @@ MODES = (MODE_INTEGRATION, MODE_RECONSTRUCTION)
 class ResidueState:
     """An attempt's residue buffer: nu_j = k_j . (z_1..z_l, 0..) mod M for every
     k_j in set order, in an int64 copy of values that commit updates in place.
-    M is kept as a Python int, as the inverse table's pow needs."""
+    M is kept as a Python int, as the inverse table's pow needs. taken is a
+    reconstruction attempt's occupancy mask (M bools, True at values) or None."""
 
-    __slots__ = ("values", "M")
+    __slots__ = ("values", "M", "taken")
 
     def __init__(self, values, M: int):
         M = operator.index(M)
@@ -85,7 +87,7 @@ class ResidueState:
             raise ValueError("residue vector must be one-dimensional and non-empty")
         if (v < 0).any() or (v >= M).any():
             raise ValueError("residues must lie in [0, M)")
-        self.values, self.M = v, M
+        self.values, self.M, self.taken = v, M, None
 
 
 class Step:
@@ -94,11 +96,11 @@ class Step:
     moves) with their components dk and max|dk|, bound. k and dk are signed and
     in exact_operand's dtype; v is in it too for reconstruction and int64 for
     integration, so v + y k is exact. v is a copy, stale once the step is
-    committed. forbidden is None until the step's first rejection, then b""
-    where the step keeps the per-candidate check, or its mask: for
-    integration M bytes, 1 where y mod M is rejected; for reconstruction M
-    bools, True at the static classes' residues, with rows, v and k narrowed
-    to the moved classes."""
+    committed. The rows read are, in integration, the moved rows; in
+    reconstruction, one per moved class where the attempt keeps its occupancy
+    mask and one per class where it does not. forbidden is an integration
+    step's: None until its first rejection, then b"" where the step keeps the
+    per-candidate check, or its mask of M bytes, 1 where y mod M is rejected."""
 
     __slots__ = ("state", "rows", "v", "k", "moved", "dk", "bound", "forbidden")
 
@@ -114,8 +116,9 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
 
     state holds the residues of I's rows over components 0..ell-1, and the
     distinct length-ell prefixes of I must have distinct residues in it, as
-    after a successful init_residues and after every committed step: a
-    reconstruction step's mask takes its static classes' residues as distinct.
+    after a successful init_residues and after every committed step, which
+    the occupancy mask stands for. A reconstruction step where some parent
+    class has no child with k_ell = 0 drops the attempt's mask.
     """
     if len(I) != state.values.shape[0]:
         raise ValueError("frequency set size disagrees with residue vector")
@@ -127,7 +130,15 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
         return Step(state, moved, state.values[moved], dk, moved, dk, bound)
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
-    order, counts = I.prefix_classes
+    order, counts, birth = I.prefix_classes
+    if state.taken is not None:
+        classes = birth[moved] <= ell  # the first row of each moved class
+        parents = counts[ell - 1] if ell else 1
+        if parents == counts[ell] - np.count_nonzero(classes):  # each keeps a static child
+            rows = moved[classes]
+            v = state.values[rows].astype(dk.dtype, copy=False)
+            return Step(state, rows, v, dk[classes], moved, dk, bound)
+        state.taken = None
     rows = order[:counts[ell]]  # one row per distinct length-(ell + 1) prefix
     # col is column ell in dk's dtype: dk's values and zeros, so it stays exact.
     col = np.zeros(len(I), dtype=dk.dtype)
@@ -158,8 +169,11 @@ def _reconstruction_ok(r: np.ndarray) -> bool:
 
 
 def commit(step: Step, r: np.ndarray) -> None:
-    """Write the residues r of step.moved that a check accepted into the buffer."""
+    """Write the residues r of step.moved that a check accepted into the
+    buffer, and into the occupancy mask where the attempt keeps one."""
     step.state.values[step.moved] = r
+    if step.state.taken is not None:
+        step.state.taken[r] = True
 
 
 # init_residues reads the verdicts here, not through the public check names:
@@ -171,7 +185,8 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
     """Step 1 with the fixed choice z_1 = 1.
 
     Returns whether the first components alone already satisfy the mode's
-    property, and a new buffer of the residues k_1 mod M whatever the verdict.
+    property, and a new buffer of the residues k_1 mod M whatever the verdict,
+    with its occupancy mask after a successful reconstruction init where _taken_pays.
     """
     if M < 2:
         raise ValueError("need M >= 2")
@@ -179,7 +194,17 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
     step = prepare_step(state, I, 0, mode)
     ok = _VERDICTS[mode](_shifted(step, 1))
     commit(step, _moved(step, 1))
+    if ok and mode == MODE_RECONSTRUCTION and _taken_pays(M, len(I)):
+        state.taken = np.zeros(M, dtype=bool)
+        state.taken[state.values] = True
     return ok, state
+
+
+def _taken_pays(M: int, n: int) -> bool:
+    """Whether a reconstruction attempt on n rows keeps its occupancy mask: M <= 64 n
+    bytes; M <= INT64_SAFE_M keeps every step (|k| <= COMPONENT_LIMIT) in int64,
+    out of exact_operand's Python ints, which no array index takes."""
+    return M <= min(64 * n, INT64_SAFE_M)
 
 
 def _mask_pays(M: int, rows: int, bound: int) -> bool:
@@ -234,43 +259,17 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, np.ndarray | 
     return False, None
 
 
-def _static_mask_pays(M: int, classes: int) -> bool:
-    """Whether a reconstruction step builds its mask: M <= 64 classes keeps the
-    mask's M bytes within 16 times those of the step's int32 residues."""
-    return M <= 64 * classes
-
-
-def _split(step: Step) -> None:
-    """Set step.forbidden to the mask of the static classes' residues (k_l = 0)
-    as M bools, and narrow rows, v and k to the moved classes; or to b"" where
-    the mask does not pay or the step computes in Python ints, which no array
-    index takes."""
-    M = step.state.M
-    if step.k.dtype == object or not _static_mask_pays(M, step.v.shape[0]):
-        step.forbidden = b""
-        return
-    moving = step.k != 0
-    mask = np.zeros(M, dtype=bool)
-    mask[step.v[~moving]] = True
-    step.rows, step.v, step.k = step.rows[moving], step.v[moving], step.k[moving]
-    step.forbidden = mask
-
-
 def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, np.ndarray | None]:
-    """Reconstruction admissibility of candidate y: O(p log p) for p prefix
-    classes up to the step's first rejection, which may split the step; after
-    it, O(m log m) for its m moved classes.
+    """Reconstruction admissibility of candidate y: O(m log m) for the m moved
+    classes on the attempt's occupancy mask, O(p log p) for all p prefix
+    classes off it.
 
     Rows agreeing on the whole prefix count once; rows whose components are
     congruent mod M but distinct as integers stay separate, so their meeting
     residues reject y. Returns the verdict and, only if True, step.moved's new residues.
     """
-    mask = step.forbidden
     r = _shifted(step, y)
-    if mask is not None and len(mask) and mask[r].any():
-        return False, None
-    if not _reconstruction_ok(r):
-        if mask is None:
-            _split(step)
+    taken = step.state.taken
+    if (taken is not None and taken[r].any()) or not _reconstruction_ok(r):
         return False, None
     return True, _moved(step, y)

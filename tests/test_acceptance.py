@@ -312,7 +312,7 @@ def test_criterion_10_seeded_runs_are_reproducible():
                     reason="set CBCLAT_STRETCH=1 to run the d=350 sweep")
 def test_stretch_axis_cross_d350():
     # Large-scale run: axis cross with d = 350, N = 64 (44801 frequencies),
-    # reconstruction mode. About 2 s on a 2-core x86-64 machine.
+    # reconstruction mode. About 1.3 s on a 2-core x86-64 machine.
     started = time.perf_counter()
     I = gen_axis_cross(350, 64)
     assert len(I) == 44801

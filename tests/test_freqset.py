@@ -228,21 +228,26 @@ def test_row_norms():
 def test_prefix_classes():
     # Births (0, 2, 1, 0, 1): row 2 first differs from row 1 in column 1.
     I = FrequencySet([(-1, 0, 0), (-1, 0, 4), (-1, 2, 0), (0, 0, 0), (0, 3, 3)])
-    order, counts = I.prefix_classes
+    order, counts, birth = I.prefix_classes
+    assert birth.tolist() == [0, 2, 1, 0, 1]
     assert order.tolist() == [0, 3, 2, 4, 1]  # stable: set order within a birth
     assert counts.tolist() == [2, 4, 5]
     assert I.prefix_classes is I.prefix_classes
-    assert not order.flags.writeable and not counts.flags.writeable
+    assert not any(a.flags.writeable for a in I.prefix_classes)
     # counts[t] is the number of distinct length-(t + 1) prefixes, and
-    # order[:counts[t]] holds the first row of each.
+    # order[:counts[t]], the rows born at or before t, holds the first row of
+    # each; a row's birth is the first column where it differs from the row before.
     for I in (gen_axis_cross(5, 3), gen_cube(3, 2), gen_superposition2(5, 2),
               gen_weighted_hyperbolic(WeightSpec.inverse_square(), 30, 6), FrequencySet([(7,)])):
-        order, counts = I.prefix_classes
+        order, counts, birth = I.prefix_classes
         A = I.array
+        assert birth[0] == 0
+        assert birth[1:].tolist() == [int(np.flatnonzero(a != b)[0]) for a, b in zip(A[1:], A[:-1])]
         for t in range(I.d):
             assert counts[t] == len(FrequencySet(A[:, : t + 1]))
             starts = np.flatnonzero(np.r_[True, np.any(A[1:, : t + 1] != A[:-1, : t + 1], axis=1)])
             assert sorted(order[: counts[t]].tolist()) == starts.tolist()
+            assert np.flatnonzero(birth <= t).tolist() == starts.tolist()
 
 
 @st.composite
@@ -312,7 +317,8 @@ def test_store_only_set_matches_python_reference(tmp_path_factory, rows):
     assert I.spans.tolist() == [[min(k[t] for k in want), max(k[t] for k in want)] for t in range(d)]
     assert I.row_norms.tolist() == [sum(map(abs, k)) for k in want]
     births = [0] + [next(t for t in range(d) if h[t] != k[t]) for h, k in zip(want, want[1:])]
-    order, counts = I.prefix_classes
+    order, counts, birth = I.prefix_classes
+    assert birth.tolist() == births
     assert order.tolist() == sorted(range(n), key=births.__getitem__)
     assert counts.tolist() == [sum(b <= t for b in births) for t in range(d)]
     # The bytes of the per-component writer, and the set back from them: by

@@ -13,8 +13,10 @@ from cbclat.freqset import (
     COMPONENT_LIMIT,
     FrequencySet,
     gen_axis_cross,
+    WeightSpec,
     gen_cube,
     gen_superposition2,
+    gen_weighted_hyperbolic,
 )
 from cbclat.heuristic import heuristic_search
 from cbclat.kernels import (
@@ -29,6 +31,7 @@ from cbclat.lattice import (
     INT64_SAFE_M,
     Rank1Lattice,
     _residues,
+    exact_operand,
     verify_integration,
     verify_reconstruction,
 )
@@ -127,6 +130,15 @@ def _kernel(mode):
 
 def _verifier(mode):
     return verify_integration if mode == "integration" else verify_reconstruction
+
+
+# Rules a reconstruction attempt may decide its occupancy mask by: the
+# default, M <= min(64 |I|, INT64_SAFE_M), always and never.
+TAKEN_RULES = {
+    "default": kernels._taken_pays,
+    "always": lambda M, n: True,
+    "never": lambda M, n: False,
+}
 
 
 def test_residue_state_validation():
@@ -234,9 +246,11 @@ def test_integration_kernel_single_nonzero_row():
     assert state.values.tolist() == [0, 1, 2]
 
 
-def test_reconstruction_kernel_hand_trace():
+def test_reconstruction_kernel_hand_trace(monkeypatch):
+    # Off the occupancy mask, the step reads every prefix class.
+    monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never"])
     ok, state = init_residues(TRIPLE, 5, "reconstruction")
-    assert ok
+    assert ok and state.taken is None
     assert state.values.tolist() == [0, 0, 1]
     step = prepare_step(state, TRIPLE, 1, "reconstruction")  # column (0, 1, 0)
     assert _sorted_rows(step) == _prefix_rows(TRIPLE, 2) == [0, 1, 2]
@@ -250,6 +264,21 @@ def test_reconstruction_kernel_hand_trace():
     assert state.values.tolist() == [0, 0, 1]
     commit(step, r2)
     assert state.values.tolist() == [0, 2, 1]
+    # On it (the default rule at M = 5), the step reads its one moved class,
+    # and the mask marks the residues 0 and 1 of the static (0, 0) and (1, 0).
+    monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["default"])
+    ok, state = init_residues(TRIPLE, 5, "reconstruction")
+    assert ok
+    assert np.flatnonzero(state.taken).tolist() == [0, 1]
+    step = prepare_step(state, TRIPLE, 1, "reconstruction")
+    assert step.rows.tolist() == step.moved.tolist() == [1]
+    assert check_exactness_reconstruction(step, 1) == (False, None)  # 0 + 1 hits residue 1
+    good, r2 = check_exactness_reconstruction(step, 2)
+    assert good
+    assert r2.tolist() == [2]
+    commit(step, r2)
+    assert state.values.tolist() == [0, 2, 1]
+    assert np.flatnonzero(state.taken).tolist() == [0, 1, 2]
 
 
 def test_reconstruction_kernel_single_frequency():
@@ -296,21 +325,31 @@ def test_reconstruction_kernel_row_permutation_invariant():
         cases += 1
 
 
-def test_duplicate_projections_do_not_false_negative():
+def test_duplicate_projections_do_not_false_negative(monkeypatch):
     # (1,0,1) and (1,0,2) agree in the first two coordinates; at step 2 the
     # deduplicated pair set is a singleton and every y must pass, matching
-    # the direct verifier on the projected, deduplicated set.
+    # the direct verifier on the projected, deduplicated set. Off the
+    # occupancy mask the step reads that one class; on it (the default rule
+    # at M = 7) the class is static, so the step reads no row and the mask
+    # marks the class's residue 1.
     I = FrequencySet([(1, 0, 1), (1, 0, 2)])
     M = 7
-    ok, state = init_residues(I, M, "reconstruction")
-    assert ok
-    step = prepare_step(state, I, 1, "reconstruction")
     proj = FrequencySet(I.array[:, :2])
     assert len(proj) == 1
-    assert _sorted_rows(step) == _prefix_rows(I, 2) == [0]
-    for y in range(M):
-        good, _ = check_exactness_reconstruction(step, y)
-        assert good == verify_reconstruction(Rank1Lattice(M, (1, y)), proj)
+    for rule in ("never", "default"):
+        monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES[rule])
+        ok, state = init_residues(I, M, "reconstruction")
+        assert ok
+        step = prepare_step(state, I, 1, "reconstruction")
+        if rule == "never":
+            assert state.taken is None
+            assert _sorted_rows(step) == _prefix_rows(I, 2) == [0]
+        else:
+            assert step.rows.tolist() == []
+            assert np.flatnonzero(state.taken).tolist() == [1]
+        for y in range(M):
+            good, _ = check_exactness_reconstruction(step, y)
+            assert good == verify_reconstruction(Rank1Lattice(M, (1, y)), proj)
 
 
 def test_integer_pairs_equal_mod_m_stay_separate():
@@ -502,7 +541,7 @@ def test_drivers_match_reference_kernel_and_driver():
     assert compared == 120 * 2 * 3 * 2
 
 
-def _big_instance(rng, d, n, limit=COMPONENT_LIMIT):
+def _big_instance(rng, d, n, limit=COMPONENT_LIMIT, closed=False):
     near = [limit - rng.randrange(8) for _ in range(n * d)]
     rows = [[rng.choice((-1, 1)) * near[i * d + t] if rng.random() < 0.8 else rng.randrange(-2, 3)
              for t in range(d)] for i in range(n)]
@@ -511,19 +550,24 @@ def _big_instance(rng, d, n, limit=COMPONENT_LIMIT):
     # residues and components near M - 1: y = M - 1 takes y * k past 2^63,
     # and at the first step sends both rows to residue 0
     rows += [[-1] * d, [-2] * d]
+    if closed:  # every row's prefixes padded with 0: each class keeps a child with k_l = 0
+        rows += [row[:t] + [0] * (d - t) for row in rows for t in range(1, d)]
     return FrequencySet(rows)
 
 
-def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
+def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT, closed=False):
     # Components within 8 of limit, the component limit by default. At every
     # step the tested candidates are one forced to fail (a residue driven to
     # 0, or two prefixes driven onto one residue), M - 1, M - 2 and random
     # ones; every verdict must match the direct verifier on the projected set,
     # and every carried state the recomputed residues. dtype is the one the
-    # step's components must be computed in.
-    I = _big_instance(rng, 4, 12, limit)
+    # step's components must be computed in. closed adds every row's prefixes
+    # padded with 0, and a reconstruction walk then runs on the occupancy mask
+    # (which the caller's rule must build) at every step; otherwise off it.
+    I = _big_instance(rng, 4, 12, limit, closed)
     ok, state = init_residues(I, M, mode)
     assert ok
+    assert (state.taken is not None) == closed
     z = [1]
     verdicts = []
     for ell in range(1, I.d):
@@ -541,7 +585,13 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
             forced = (-nu[j] * pow(col[j], -1, M)) % M
         else:
             mask = _prefix_mask(I, ell + 1)
-            assert _sorted_rows(step) == _prefix_rows(I, ell + 1)
+            if closed:  # the moved classes, and the residues of the rest marked
+                assert state.taken is not None
+                assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
+                static = sorted(nu[j] for j in _prefix_rows(I, ell + 1) if not col[j])
+                assert np.flatnonzero(state.taken).tolist() == static
+            else:
+                assert _sorted_rows(step) == _prefix_rows(I, ell + 1)
             rows = [j for j in range(len(I)) if mask[j]]
             i, j = next((i, j) for i in rows for j in rows if (col[i] - col[j]) % M)
             forced = ((nu[j] - nu[i]) * pow(col[i] - col[j], -1, M)) % M
@@ -559,34 +609,39 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT):
             if good and accepted is None:
                 accepted = (y, cand)
         assert not verdicts[-7][2]  # the forced candidate
-        # M is far above 8 rows (64 prefix classes) here: an integration step
-        # (a reconstruction step) keeps its per-candidate check.
-        assert step.forbidden == b""
+        if mode == "integration":
+            # M is far above 8 rows here: the step keeps its per-candidate check.
+            assert step.forbidden == b""
         assert accepted is not None
         z.append(accepted[0])
         commit(step, accepted[1])
         padded = z + [0] * (I.d - len(z))
         assert state.values.dtype == np.int64
         assert state.values.tolist() == _residues(I, M, padded).tolist()
+        if closed:
+            assert np.flatnonzero(state.taken).tolist() == sorted(set(state.values.tolist()))
     assert _verifier(mode)(Rank1Lattice(M, tuple(z)), I)
     assert (1, M - 1, False) in verdicts
 
 
 @pytest.mark.parametrize("mode", ["integration", "reconstruction"])
-def test_kernels_exact_above_int64_bound(mode):
+def test_kernels_exact_above_int64_bound(monkeypatch, mode):
     # M just past INT64_SAFE_M: y * k for residues y, k < M would not fit
     # int64, but signed components up to COMPONENT_LIMIT keep v + y k in it.
+    # The default rule builds no occupancy mask here; the walk forces it off.
     M = nextprime(INT64_SAFE_M)
-    assert M > INT64_SAFE_M
+    assert M > INT64_SAFE_M and not kernels._taken_pays(M, 10**9)
+    monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never"])
     _walk_near_bound(M, mode, random.Random(2718 if mode == "integration" else 3141), np.int64)
 
 
 @pytest.mark.parametrize("mode", ["integration", "reconstruction"])
-def test_kernels_exact_past_component_bound(mode):
+def test_kernels_exact_past_component_bound(monkeypatch, mode):
     # M = nextprime(2^32): M (COMPONENT_LIMIT - 7 + 1) >= 2^63, so the steps
-    # compute in Python ints.
+    # compute in Python ints, where the default rule builds no occupancy mask.
     M = nextprime(2**32)
-    assert M * (COMPONENT_LIMIT - 6) >= 2**63
+    assert M * (COMPONENT_LIMIT - 6) >= 2**63 and not kernels._taken_pays(M, 10**9)
+    monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never"])
     _walk_near_bound(M, mode, random.Random(1618 if mode == "integration" else 1414), object)
 
 
@@ -598,17 +653,24 @@ def _prevprime(n):
 
 @pytest.mark.parametrize("mode", ["integration", "reconstruction"])
 @pytest.mark.parametrize("side", ["int32", "int64"])
-def test_kernels_exact_at_int32_bound(mode, side):
+def test_kernels_exact_at_int32_bound(monkeypatch, mode, side):
     # Components within 8 of 4096: M (4096 + 1) < 2^31 keeps every step in
     # int32, where y = M - 1 takes v + y k to the edge of int32, and
     # M (4096 - 7 + 1) >= 2^31, 0.2 % further on, takes every step to int64.
+    # The walk runs with the occupancy mask forced off and, in
+    # reconstruction, again forced on (M is about 524,000 bools) over a set
+    # whose classes each keep a static child.
     limit = 4096
     if side == "int32":
         M = _prevprime((2**31 - 1) // (limit + 1))
     else:
         M = nextprime((2**31 - 1) // (limit - 6))
     seed = {"int32": 5, "int64": 7}[side] + (mode == "integration")
+    monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never"])
     _walk_near_bound(M, mode, random.Random(seed), np.dtype(side), limit)
+    if mode == "reconstruction":
+        monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["always"])
+        _walk_near_bound(M, mode, random.Random(seed), np.dtype(side), limit, closed=True)
 
 
 # (moduli, max|k|, row counts) of the sets each case draws. The first three
@@ -719,20 +781,13 @@ def test_mask_switch_never_changes_a_result(monkeypatch, name):
     assert built[2] == 0 < built[0] <= built[1]
 
 
-# Rules a reconstruction step's first rejection may decide by: the default,
-# M <= 64 prefix classes, always and never.
-STATIC_RULES = {
-    "default": kernels._static_mask_pays,
-    "always": lambda M, classes: True,
-    "never": lambda M, classes: False,
-}
-
-
-def _tier_instance(rng, tier):
+def _tier_instance(rng, tier, closed=False):
     # Components in -3..3, plus some that are 0 mod M and some congruent mod M
     # to another component of their column, all nonzero. In the int64 tier
     # every nonzero component is raised by a large multiple of M, so that
-    # M (max|k| + 1) >= 2^31 at the small M drawn here.
+    # M (max|k| + 1) >= 2^31 at the small M drawn here. closed adds every
+    # row's prefixes padded with 0, so that each prefix class keeps a child
+    # with k_l = 0 at every step, as in a downward-closed set.
     d, n = rng.randrange(2, 5), rng.randrange(2, 16)
     M = rng.choice([7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 1021])
     big = (COMPONENT_LIMIT // M - 3) * M if tier == "int64" else 0
@@ -749,34 +804,63 @@ def _tier_instance(rng, tier):
         # a row sharing all but its last component, so a prefix class holds two rows
         if rng.random() < 0.3:
             rows.append(rows[-1][:-1] + [rng.randrange(-3, 4)])
+    if closed:
+        rows += [row[:t] + [0] * (d - t) for row in rows for t in range(1, d)]
     return FrequencySet(rows), M
 
 
-@pytest.mark.parametrize("rule", STATIC_RULES)
+def _keeps_static_children(I, ell):
+    # Whether every distinct length-ell prefix of I has a child with k_ell = 0,
+    # counted from the dense rows: the occupancy mask's condition at step ell.
+    A = I.array
+    parents = {tuple(k[:ell]) for k in A.tolist()}
+    return parents == {tuple(k[:ell]) for k in A.tolist() if k[ell] == 0}
+
+
+@pytest.mark.parametrize("rule", TAKEN_RULES)
 @pytest.mark.parametrize("tier", ["int32", "int64", "object"])
 def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
-    # Criterion 03 for the split reconstruction step: at every step, every y in
-    # 0..M-1 on a fresh step (before any rejection) and again on one step after
-    # its first rejection, verdicts and returned residues, against the direct
-    # verifier on the projected set. The object tier forces exact_operand's
-    # Python ints at these small M, where an array index by such residues
-    # raises IndexError: its steps keep the dense check under every rule.
-    monkeypatch.setattr(kernels, "_static_mask_pays", STATIC_RULES[rule])
+    # Criterion 03 for the occupancy mask, on which a reconstruction step reads
+    # only its moved classes against the marked residues of its static ones:
+    # at every step, every y in 0..M-1, verdicts and returned residues, against
+    # the direct verifier on the projected set; on sets whose classes each keep
+    # a static child and on sets where the attempt drops the mask. Every step
+    # that keeps the mask reads one row per moved class, the mask marks the
+    # residues of the rest, and every commit leaves it marking the buffer's.
+    # The real rule never meets the Python-int tier (M <= INT64_SAFE_M and
+    # |k| <= COMPONENT_LIMIT keep int64), so the object tier, forced through
+    # exact_operand at these small M, runs with the rule forced off.
+    assert exact_operand(np.array([COMPONENT_LIMIT]), INT64_SAFE_M).dtype == np.int64
+    monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never" if tier == "object" else rule])
     if tier == "object":
         monkeypatch.setattr(kernels, "exact_operand", lambda k, M, bound=None: k.astype(object))
     rng = random.Random(f"{tier}-{rule}")
-    decided = {True: 0, False: 0}
+    counted = {"masked": 0, "dense": 0, "dropped": 0}
     walked = 0
-    while walked < 30:
-        I, M = _tier_instance(rng, tier)
+    while walked < 40:
+        I, M = _tier_instance(rng, tier, closed=walked % 2 == 0)
         ok, state = init_residues(I, M, "reconstruction")
         if not ok:
             continue
         walked += 1
+        assert (state.taken is not None) == kernels._taken_pays(M, len(I))
         z = [1]
         for ell in range(1, I.d):
+            had = state.taken is not None
             step = prepare_step(state, I, ell, "reconstruction")
             assert step.k.dtype == np.dtype(tier)
+            assert step.forbidden is None  # integration's mask alone
+            masked = state.taken is not None
+            assert masked == (had and _keeps_static_children(I, ell))
+            counted["dropped"] += had and not masked
+            counted["masked" if masked else "dense"] += 1
+            col = I.array[:, ell]
+            if masked:
+                static = [j for j in _prefix_rows(I, ell + 1) if col[j] == 0]
+                assert np.flatnonzero(state.taken).tolist() == sorted(state.values[static])
+                assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
+            else:
+                assert _sorted_rows(step) == _prefix_rows(I, ell + 1)
             proj = FrequencySet(I.array[:, : ell + 1])
             want = []
             for y in range(M):
@@ -784,51 +868,41 @@ def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
                 padded = z + [y] + [0] * (I.d - len(z) - 1)
                 want.append((good, _residues(I, M, padded)[step.moved].tolist() if good else None))
 
-            def got(step, y):
+            def got(y):
                 good, r = check_exactness_reconstruction(step, y)
                 return good, None if r is None else r.tolist()
 
-            assert [got(prepare_step(state, I, ell, "reconstruction"), y) for y in range(M)] == want
-            rejected = [y for y in range(M) if not want[y][0]]
-            if rejected:
-                classes = step.rows.shape[0]
-                assert got(step, rejected[0]) == (False, None)
-                built = isinstance(step.forbidden, np.ndarray)
-                assert built == (tier != "object" and STATIC_RULES[rule](M, classes))
-                assert built or step.forbidden == b""
-                if built:  # the mask marks the static classes' residues; the step keeps the moved
-                    col = I.array[:, ell]
-                    static = [j for j in _prefix_rows(I, ell + 1) if col[j] == 0]
-                    assert np.flatnonzero(step.forbidden).tolist() == sorted(state.values[static])
-                    assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
-                decided[built] += 1
-            assert [got(step, y) for y in range(M)] == want
+            assert [got(y) for y in range(M)] == want
             accepted = next((y for y in range(M) if want[y][0]), None)
             if accepted is None:
                 break
             z.append(accepted)
             commit(step, np.array(want[accepted][1], dtype=np.int64))
-    # Each rule has decided both ways where it can, and only where it can.
-    assert (decided[True] > 0) == (tier != "object" and rule != "never")
-    assert (decided[False] > 0) == (tier == "object" or rule != "always")
+            if masked:
+                assert np.flatnonzero(state.taken).tolist() == sorted(set(state.values.tolist()))
+    # Each rule has taken the paths it can, and only those.
+    on = tier != "object" and rule != "never"
+    assert (counted["masked"] > 0) == (counted["dropped"] > 0) == on
+    assert counted["dense"] > 0
 
 
 @pytest.mark.parametrize("name", SWITCH_SETS)
 def test_static_mask_switch_never_changes_a_result(monkeypatch, name):
-    # The reconstruction drivers give the same results whether the static mask
-    # is built by the default rule, at every step's first rejection, or never.
+    # The reconstruction drivers give the same results whether the attempts
+    # keep their occupancy mask by the default rule, always, or never.
     I = SWITCH_SETS[name]()
-    split, built = kernels._split, []
+    prepare, masked = kernels.prepare_step, []
 
-    def counted(step):
-        split(step)
-        built[-1] += isinstance(step.forbidden, np.ndarray)
+    def counted(state, I, ell, mode):
+        step = prepare(state, I, ell, mode)
+        masked[-1] += state.taken is not None
+        return step
 
-    monkeypatch.setattr(kernels, "_split", counted)
+    monkeypatch.setattr(kernels, "prepare_step", counted)
     results = []
-    for rule in STATIC_RULES.values():
-        monkeypatch.setattr(kernels, "_static_mask_pays", rule)
-        built.append(0)
+    for rule in TAKEN_RULES.values():
+        monkeypatch.setattr(kernels, "_taken_pays", rule)
+        masked.append(0)
         searches = [heuristic_search(I, "reconstruction", K=5, T=100, rng=random.Random(seed))
                     for seed in range(1, 9)]
         M = searches[0].M
@@ -838,4 +912,25 @@ def test_static_mask_switch_never_changes_a_result(monkeypatch, name):
             cbc_exhaustive(I, M, "reconstruction"),
         ))
     assert results[0] == results[1] == results[2]
-    assert built[2] == 0 < built[0] <= built[1]
+    assert masked[2] == 0 < masked[0] <= masked[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_cube(3, 2), lambda: gen_cube(4, 3), lambda: gen_cube(2, 1),
+    lambda: gen_axis_cross(10, 64), lambda: gen_axis_cross(60, 4), lambda: gen_axis_cross(1, 3),
+    lambda: gen_superposition2(60, 1), lambda: gen_superposition2(8, 3),
+    lambda: gen_weighted_hyperbolic(WeightSpec.inverse_square(), 200, 14),
+    lambda: gen_weighted_hyperbolic(WeightSpec.inverse_square(), 30, 6),
+])
+def test_generators_never_drop_the_mask(make):
+    # On every generator's sets each parent class keeps a child with k_l = 0
+    # at every step: counts[l-1] - counts[l] + m = 0 for the m moved classes
+    # (the rows of nonzeros(l) born at or before l), with one parent, the
+    # empty prefix, at l = 0. So below 64 |I| no benchmark workload's attempt
+    # leaves the occupancy mask for the dense sort.
+    I = make()
+    _, counts, birth = I.prefix_classes
+    for ell in range(I.d):
+        moved, _, _ = I.nonzeros(ell)
+        m = int(np.count_nonzero(birth[moved] <= ell))
+        assert (counts[ell - 1] if ell else 1) - counts[ell] + m == 0
