@@ -153,6 +153,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.M < 2:
+        raise UsageError(f"--M must be >= 2, got {args.M}")
     I = freqset.read_set(args.setfile)
     if not is_prime(args.M):
         print(f"warning: M = {args.M} is not prime; proceeding anyway", file=sys.stderr)

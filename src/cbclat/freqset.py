@@ -221,13 +221,16 @@ class FrequencySet:
         return self._norms
 
     @property
-    def prefix_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, counts, birth), read-only, built from the entries on first
-        use and kept: birth[j] is the first column where row j differs from the
-        row before it (0 for row 0), order is the rows stably sorted by birth and
-        counts[t] the number of births <= t. So order[:counts[t]], the rows born
-        by t, holds the first row of each distinct length-(t + 1) prefix, in set
-        order within a birth. O(nnz) for the births, O(n log n) for the order."""
+    def prefix_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(order, counts, birth, rank, nested), built from the entries on first
+        use and kept, arrays read-only: birth[j] is the first column where row j
+        differs from the row before it (0 for row 0), order the rows stably
+        sorted by birth, rank its inverse and counts[t] the number of births
+        <= t. So order[:counts[t]] holds the first row of each distinct
+        length-(t + 1) prefix, in set order within a birth. nested: for every
+        t >= 1 the rows born at t are as many as column t's entries whose row is
+        born by t, so each length-t prefix has a child with k_t = 0. O(nnz) for
+        the births and nested, O(n log n) for the order."""
         if self._classes is None:
             rows, cols, values = self._entries
             n, d = self._n, self.d
@@ -245,10 +248,14 @@ class FrequencySet:
             np.minimum.at(birth, rows[end] + 1, cols[end])
             birth[0] = 0
             order = np.argsort(birth, kind="stable")
-            counts = np.cumsum(np.bincount(birth, minlength=d)[:d])
-            for a in (order, counts, birth):
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            born = np.bincount(birth, minlength=d)[:d]
+            counts = np.cumsum(born)
+            nested = bool((born == np.bincount(cols[birth[rows] <= cols], minlength=d))[1:].all())
+            for a in (order, counts, birth, rank):
                 a.setflags(write=False)
-            self._classes = order, counts, birth
+            self._classes = order, counts, birth, rank, nested
         return self._classes
 
     def _chunks(self):

@@ -35,16 +35,13 @@ some k_{j,l}, an M dividing some k_{j,l}, an M large against the step's rows)
 the step keeps the per-candidate check.
 
 By that invariant the buffer holds one distinct residue per current prefix
-class, and a reconstruction attempt marks them in one occupancy mask of M
-bools, ResidueState.taken, built after a successful init where M <= 64 |I|.
-Step l moves only its m classes with k_l != 0: the rows of I.nonzeros(l) born
-at or before l. Where each parent class keeps a child with k_l = 0 (the
-counts[l-1] - counts[l] + m that do not are 0 on every downward-closed set),
-the mask holds the static classes' residues: a candidate reduces
-(v + y k) mod M over the m moved classes alone, is rejected where one hits
-the mask or two meet after a sort, and commit marks the new residues. At a
-step where some parent has none, the attempt drops the mask; off it, each
-candidate sorts the residues of all p = counts[l] classes.
+class. init_residues alone decides whether a reconstruction attempt marks them
+in an occupancy mask of M bools, ResidueState.taken, kept to its end: after a
+successful init where M <= 64 |I| and I is nested (each parent class keeps a
+child with k_l = 0 at every l >= 1, as in any downward-closed set). Step l
+moves its m classes with k_l != 0, the rows of I.nonzeros(l) born by l. On the
+mask a candidate reduces (v + y k) mod M over them alone and is rejected where
+one hits the mask or two meet after a sort; off it, it sorts all p residues.
 
 Components pass through lattice.exact_operand once per step, with the max|k_l|
 that FrequencySet.nonzeros keeps: int32 while M (max|k_l| + 1) < 2^31, int64
@@ -73,8 +70,8 @@ MODES = (MODE_INTEGRATION, MODE_RECONSTRUCTION)
 class ResidueState:
     """An attempt's residue buffer: nu_j = k_j . (z_1..z_l, 0..) mod M for every
     k_j in set order, in an int64 copy of values that commit updates in place.
-    M is kept as a Python int, as the inverse table's pow needs. taken is a
-    reconstruction attempt's occupancy mask (M bools, True at values) or None."""
+    M is a Python int, for the inverse table's pow. taken is a reconstruction
+    attempt's occupancy mask (M bools, True at values) from init to end, or None."""
 
     __slots__ = ("values", "M", "taken")
 
@@ -96,11 +93,10 @@ class Step:
     moves) with their components dk and max|dk|, bound. k and dk are signed and
     in exact_operand's dtype; v is in it too for reconstruction and int64 for
     integration, so v + y k is exact. v is a copy, stale once the step is
-    committed. The rows read are, in integration, the moved rows; in
-    reconstruction, one per moved class where the attempt keeps its occupancy
-    mask and one per class where it does not. forbidden is an integration
-    step's: None until its first rejection, then b"" where the step keeps the
-    per-candidate check, or its mask of M bytes, 1 where y mod M is rejected."""
+    committed. The rows read are the moved rows in integration; in reconstruction,
+    one per moved class on the occupancy mask and one per class off it. forbidden,
+    an integration step's alone, is None until its first rejection, then b"" where
+    the step keeps the per-candidate check, or M bytes, 1 where y mod M is rejected."""
 
     __slots__ = ("state", "rows", "v", "k", "moved", "dk", "bound", "forbidden")
 
@@ -108,7 +104,7 @@ class Step:
                  moved: np.ndarray, dk: np.ndarray, bound: int):
         self.state, self.rows, self.v, self.k = state, rows, v, k
         self.moved, self.dk, self.bound = moved, dk, bound
-        self.forbidden: bytes | np.ndarray | None = None
+        self.forbidden: bytes | None = None
 
 
 def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> Step:
@@ -117,8 +113,8 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     state holds the residues of I's rows over components 0..ell-1, and the
     distinct length-ell prefixes of I must have distinct residues in it, as
     after a successful init_residues and after every committed step, which
-    the occupancy mask stands for. A reconstruction step where some parent
-    class has no child with k_ell = 0 drops the attempt's mask.
+    the occupancy mask stands for. It writes nothing; a reconstruction step
+    reads the moved classes on the attempt's mask and every class off it.
     """
     if len(I) != state.values.shape[0]:
         raise ValueError("frequency set size disagrees with residue vector")
@@ -130,21 +126,15 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
         return Step(state, moved, state.values[moved], dk, moved, dk, bound)
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
-    order, counts, birth = I.prefix_classes
-    if state.taken is not None:
-        classes = birth[moved] <= ell  # the first row of each moved class
-        parents = counts[ell - 1] if ell else 1
-        if parents == counts[ell] - np.count_nonzero(classes):  # each keeps a static child
-            rows = moved[classes]
-            v = state.values[rows].astype(dk.dtype, copy=False)
-            return Step(state, rows, v, dk[classes], moved, dk, bound)
-        state.taken = None
-    rows = order[:counts[ell]]  # one row per distinct length-(ell + 1) prefix
-    # col is column ell in dk's dtype: dk's values and zeros, so it stays exact.
-    col = np.zeros(len(I), dtype=dk.dtype)
-    col[moved] = dk
+    order, counts, birth, rank, _ = I.prefix_classes
+    classes = birth[moved] <= ell  # the first row of each moved class
+    rows, k = moved[classes], dk[classes]
+    if state.taken is None:  # one row per class; static ones get k = 0 in dk's dtype
+        col = np.zeros(counts[ell], dtype=dk.dtype)
+        col[rank[rows]] = k
+        rows, k = order[:counts[ell]], col
     v = state.values[rows].astype(dk.dtype, copy=False)
-    return Step(state, rows, v, col[rows], moved, dk, bound)
+    return Step(state, rows, v, k, moved, dk, bound)
 
 
 def _shifted(step: Step, y: int) -> np.ndarray:
@@ -186,7 +176,7 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
 
     Returns whether the first components alone already satisfy the mode's
     property, and a new buffer of the residues k_1 mod M whatever the verdict,
-    with its occupancy mask after a successful reconstruction init where _taken_pays.
+    with its occupancy mask if a reconstruction init succeeds on a nested I where _taken_pays.
     """
     if M < 2:
         raise ValueError("need M >= 2")
@@ -194,7 +184,7 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
     step = prepare_step(state, I, 0, mode)
     ok = _VERDICTS[mode](_shifted(step, 1))
     commit(step, _moved(step, 1))
-    if ok and mode == MODE_RECONSTRUCTION and _taken_pays(M, len(I)):
+    if ok and mode == MODE_RECONSTRUCTION and _taken_pays(M, len(I)) and I.prefix_classes[4]:
         state.taken = np.zeros(M, dtype=bool)
         state.taken[state.values] = True
     return ok, state

@@ -450,6 +450,13 @@ def test_usage_errors_exit1(tmp_path, capsys):
     assert main(["frobnicate"]) == 1         # unknown subcommand
     assert main(["search"]) == 1             # missing set file
     setfile = write_axis_set(tmp_path, 1, 1)
+    # construct needs M >= 2, and says so of --M rather than of --T or of primality
+    for M in ("0", "-7", "1"):
+        capsys.readouterr()
+        assert main(["construct", setfile, "--M", M, "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and "--M" in captured.err
+        assert "proceeding anyway" not in captured.err
     # reconstruct-demo always reconstructs, so it refuses --mode
     assert main(["reconstruct-demo", setfile, "--mode", "integration"]) == 1
     assert "--mode" in capsys.readouterr().err

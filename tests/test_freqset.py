@@ -227,20 +227,28 @@ def test_row_norms():
 
 def test_prefix_classes():
     # Births (0, 2, 1, 0, 1): row 2 first differs from row 1 in column 1.
+    # Not nested: the class (0, 3) has no child with k_2 = 0, so column 2's
+    # moved classes (rows 1 and 4) outnumber the one row born at 2.
     I = FrequencySet([(-1, 0, 0), (-1, 0, 4), (-1, 2, 0), (0, 0, 0), (0, 3, 3)])
-    order, counts, birth = I.prefix_classes
+    order, counts, birth, rank, nested = I.prefix_classes
     assert birth.tolist() == [0, 2, 1, 0, 1]
     assert order.tolist() == [0, 3, 2, 4, 1]  # stable: set order within a birth
+    assert rank.tolist() == [0, 4, 2, 1, 3]
     assert counts.tolist() == [2, 4, 5]
+    assert nested is False
     assert I.prefix_classes is I.prefix_classes
-    assert not any(a.flags.writeable for a in I.prefix_classes)
+    assert not any(a.flags.writeable for a in I.prefix_classes[:4])
+    # With (0, 3, 0) added, every class has such a child.
+    assert FrequencySet(I.items + [(0, 3, 0)]).prefix_classes[4] is True
     # counts[t] is the number of distinct length-(t + 1) prefixes, and
     # order[:counts[t]], the rows born at or before t, holds the first row of
     # each; a row's birth is the first column where it differs from the row before.
     for I in (gen_axis_cross(5, 3), gen_cube(3, 2), gen_superposition2(5, 2),
               gen_weighted_hyperbolic(WeightSpec.inverse_square(), 30, 6), FrequencySet([(7,)])):
-        order, counts, birth = I.prefix_classes
+        order, counts, birth, rank, nested = I.prefix_classes
         A = I.array
+        assert nested  # every generator's set is downward closed
+        assert rank[order].tolist() == list(range(len(I)))
         assert birth[0] == 0
         assert birth[1:].tolist() == [int(np.flatnonzero(a != b)[0]) for a, b in zip(A[1:], A[:-1])]
         for t in range(I.d):
@@ -317,10 +325,14 @@ def test_store_only_set_matches_python_reference(tmp_path_factory, rows):
     assert I.spans.tolist() == [[min(k[t] for k in want), max(k[t] for k in want)] for t in range(d)]
     assert I.row_norms.tolist() == [sum(map(abs, k)) for k in want]
     births = [0] + [next(t for t in range(d) if h[t] != k[t]) for h, k in zip(want, want[1:])]
-    order, counts, birth = I.prefix_classes
+    order, counts, birth, rank, nested = I.prefix_classes
     assert birth.tolist() == births
     assert order.tolist() == sorted(range(n), key=births.__getitem__)
+    assert rank[order].tolist() == list(range(n))
     assert counts.tolist() == [sum(b <= t for b in births) for t in range(d)]
+    # nested: every distinct length-t prefix, t >= 1, has a child with k_t = 0.
+    assert nested == all({k[:t] for k in want} == {k[:t] for k in want if k[t] == 0}
+                         for t in range(1, d))
     # The bytes of the per-component writer, and the set back from them: by
     # the layout path, by the line rules (a comment first), through a pipe,
     # and from the rows as given, unsorted and duplicated.

@@ -326,27 +326,32 @@ def test_reconstruction_kernel_row_permutation_invariant():
 
 
 def test_duplicate_projections_do_not_false_negative(monkeypatch):
-    # (1,0,1) and (1,0,2) agree in the first two coordinates; at step 2 the
-    # deduplicated pair set is a singleton and every y must pass, matching
-    # the direct verifier on the projected, deduplicated set. Off the
-    # occupancy mask the step reads that one class; on it (the default rule
-    # at M = 7) the class is static, so the step reads no row and the mask
-    # marks the class's residue 1.
-    I = FrequencySet([(1, 0, 1), (1, 0, 2)])
+    # The rows of each set agree in the first two coordinates; at step 2 the
+    # deduplicated pair set is a singleton and every y must pass, matching the
+    # direct verifier on the projected, deduplicated set. Off the occupancy
+    # mask the step reads that one class. The first set is not nested (the
+    # class (1, 0) has no child with k_2 = 0), so no rule gives its attempt
+    # the mask; the second is, and on the mask (the default rule at M = 7) the
+    # class is static, so the step reads no row and the mask marks its residue 1.
     M = 7
-    proj = FrequencySet(I.array[:, :2])
-    assert len(proj) == 1
-    for rule in ("never", "default"):
+    for I, rule in itertools.product([FrequencySet([(1, 0, 1), (1, 0, 2)]),
+                                      FrequencySet([(1, 0, 0), (1, 0, 1), (1, 0, 2)])],
+                                     ("never", "default")):
+        proj = FrequencySet(I.array[:, :2])
+        assert len(proj) == 1
+        nested = I.prefix_classes[4]
+        assert nested == (len(I) == 3)
         monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES[rule])
         ok, state = init_residues(I, M, "reconstruction")
         assert ok
         step = prepare_step(state, I, 1, "reconstruction")
-        if rule == "never":
+        if rule == "never" or not nested:
             assert state.taken is None
             assert _sorted_rows(step) == _prefix_rows(I, 2) == [0]
         else:
             assert step.rows.tolist() == []
             assert np.flatnonzero(state.taken).tolist() == [1]
+        assert step.k.tolist() == I.array[step.rows, 1].tolist()
         for y in range(M):
             good, _ = check_exactness_reconstruction(step, y)
             assert good == verify_reconstruction(Rank1Lattice(M, (1, y)), proj)
@@ -824,9 +829,12 @@ def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
     # only its moved classes against the marked residues of its static ones:
     # at every step, every y in 0..M-1, verdicts and returned residues, against
     # the direct verifier on the projected set; on sets whose classes each keep
-    # a static child and on sets where the attempt drops the mask. Every step
-    # that keeps the mask reads one row per moved class, the mask marks the
-    # residues of the rest, and every commit leaves it marking the buffer's.
+    # a static child and on sets where some does not. An attempt has the mask
+    # from init to its end iff the rule holds and the set is nested; every step
+    # on it reads one row per moved class, the mask marks the residues of the
+    # rest, and every commit leaves it marking the buffer's. Every step, on the
+    # mask or off it, reads column ell of the dense array at its rows. Every
+    # set drawn checks the nested flag against _keeps_static_children.
     # The real rule never meets the Python-int tier (M <= INT64_SAFE_M and
     # |k| <= COMPONENT_LIMIT keep int64), so the object tier, forced through
     # exact_operand at these small M, runs with the rule forced off.
@@ -835,26 +843,30 @@ def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
     if tier == "object":
         monkeypatch.setattr(kernels, "exact_operand", lambda k, M, bound=None: k.astype(object))
     rng = random.Random(f"{tier}-{rule}")
-    counted = {"masked": 0, "dense": 0, "dropped": 0}
-    walked = 0
+    counted = {"masked": 0, "dense": 0, "unnested": 0}
+    walked, drawn = 0, {True: 0, False: 0}
     while walked < 40:
         I, M = _tier_instance(rng, tier, closed=walked % 2 == 0)
+        # prefix_classes' nested, from births and entries, against the dense rule
+        nested = I.prefix_classes[4]
+        assert nested == all(_keeps_static_children(I, ell) for ell in range(1, I.d))
+        drawn[nested] += 1
         ok, state = init_residues(I, M, "reconstruction")
         if not ok:
             continue
         walked += 1
-        assert (state.taken is not None) == kernels._taken_pays(M, len(I))
+        masked = kernels._taken_pays(M, len(I)) and nested
+        assert (state.taken is not None) == masked
+        counted["unnested"] += kernels._taken_pays(M, len(I)) and not nested
         z = [1]
         for ell in range(1, I.d):
-            had = state.taken is not None
             step = prepare_step(state, I, ell, "reconstruction")
             assert step.k.dtype == np.dtype(tier)
             assert step.forbidden is None  # integration's mask alone
-            masked = state.taken is not None
-            assert masked == (had and _keeps_static_children(I, ell))
-            counted["dropped"] += had and not masked
+            assert (state.taken is not None) == masked  # the step leaves the attempt's mask as it is
             counted["masked" if masked else "dense"] += 1
             col = I.array[:, ell]
+            assert step.k.tolist() == col[step.rows].tolist()
             if masked:
                 static = [j for j in _prefix_rows(I, ell + 1) if col[j] == 0]
                 assert np.flatnonzero(state.taken).tolist() == sorted(state.values[static])
@@ -882,7 +894,8 @@ def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
                 assert np.flatnonzero(state.taken).tolist() == sorted(set(state.values.tolist()))
     # Each rule has taken the paths it can, and only those.
     on = tier != "object" and rule != "never"
-    assert (counted["masked"] > 0) == (counted["dropped"] > 0) == on
+    assert (counted["masked"] > 0) == (counted["unnested"] > 0) == on
+    assert drawn[True] > 0 and drawn[False] > 0
     assert counted["dense"] > 0
 
 
@@ -926,10 +939,11 @@ def test_generators_never_drop_the_mask(make):
     # On every generator's sets each parent class keeps a child with k_l = 0
     # at every step: counts[l-1] - counts[l] + m = 0 for the m moved classes
     # (the rows of nonzeros(l) born at or before l), with one parent, the
-    # empty prefix, at l = 0. So below 64 |I| no benchmark workload's attempt
-    # leaves the occupancy mask for the dense sort.
+    # empty prefix, at l = 0. So the sets are nested, and below 64 |I| every
+    # benchmark workload's attempt has the occupancy mask from init to end.
     I = make()
-    _, counts, birth = I.prefix_classes
+    _, counts, birth, _, nested = I.prefix_classes
+    assert nested
     for ell in range(I.d):
         moved, _, _ = I.nonzeros(ell)
         m = int(np.count_nonzero(birth[moved] <= ell))
