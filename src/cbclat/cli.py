@@ -153,8 +153,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.M < 2:
-        raise UsageError(f"--M must be >= 2, got {args.M}")
     I = freqset.read_set(args.setfile)
     if not is_prime(args.M):
         print(f"warning: M = {args.M} is not prime; proceeding anyway", file=sys.stderr)
@@ -187,8 +185,11 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     I = freqset.read_set(args.setfile)
-    with open(args.latticefile, "r", encoding="utf-8") as fh:
-        lat = lattice.Rank1Lattice.from_dict(json.load(fh))
+    try:
+        with open(args.latticefile, "r", encoding="utf-8") as fh:
+            lat = lattice.Rank1Lattice.from_dict(json.load(fh))
+    except ValueError as exc:  # not JSON (or not UTF-8), or not a lattice
+        raise ValueError(f"{args.latticefile}: {exc}") from None
     ok = verifier(args.mode)(lat, I)
     print("true" if ok else "false")
     return 0 if ok else 2
@@ -311,6 +312,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        for flag, low in (("K", 1), ("T", 1), ("M", 2)):  # on the subcommands that take them
+            if getattr(args, flag, low) < low:
+                raise UsageError(f"--{flag} must be >= {low}, got {getattr(args, flag)}")
         return args.func(args)
     except (UsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

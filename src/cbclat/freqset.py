@@ -23,9 +23,9 @@ import numpy as np
 SIZE_CAP = 10**8
 
 # Components are capped so that v + y*k for residues v, y < M stays in int64
-# for every M < 2^32 (lattice.exact_operand): it runs in int32 while
-# M (max|k| + 1) < 2^31, in int64 while that is < 2^63, in Python ints beyond.
-# A dot product k . z takes the same tiers with max ||k||_1 (cached row_norms).
+# for every M < 2^32 (lattice.exact_operand: int64 while M (max|k| + 1) < 2^63,
+# Python ints beyond; a dot product k . z the same with max ||k||_1, the cached
+# row_norms), and so that the store holds them as int32, half of int64's bytes.
 COMPONENT_LIMIT = 2**31 - 1
 
 # Components per chunk of rows: format_set's text, built from the chunk's
@@ -152,9 +152,7 @@ class FrequencySet:
         return I
 
     def _own(self, n: int, d: int, rows: np.ndarray, cols: np.ndarray, values) -> None:
-        # int32 values are exact_operand's narrowest tier, which then takes
-        # them without a copy.
-        values = _int32(values)
+        values = _int32(values)  # exact_operand widens a column to int64 once per step
         for a in (rows, cols, values):
             a.setflags(write=False)
         starts = np.searchsorted(cols, np.arange(d + 1))

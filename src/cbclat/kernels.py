@@ -9,7 +9,7 @@ candidate y for step l against it:
                   pairwise distinct residues nu_j + y k_{j,l} mod M
 
 Integration reads only the rows with k_{j,l} != 0. Reconstruction reads the
-prefix classes (distinct length-(l+1) prefixes) through
+moved prefix classes (distinct length-(l+1) prefixes with k_l != 0) through
 FrequencySet.prefix_classes: a row's birth is the first column in which it
 differs from the row before it, so the rows born at or before l hold one row
 per class. Both take column l from FrequencySet.nonzeros, the set's own store.
@@ -39,16 +39,14 @@ class. init_residues alone decides whether a reconstruction attempt marks them
 in an occupancy mask of M bools, ResidueState.taken, kept to its end: after a
 successful init where M <= 64 |I| and I is nested (each parent class keeps a
 child with k_l = 0 at every l >= 1, as in any downward-closed set). Step l
-moves its m classes with k_l != 0, the rows of I.nonzeros(l) born by l. On the
-mask a candidate reduces (v + y k) mod M over them alone and is rejected where
-one hits the mask or two meet after a sort; off it, it sorts all p residues.
+moves its m classes with k_l != 0, the rows of I.nonzeros(l) born by l, and
+rejects y where their m new residues meet a static class's (k_l = 0) or each
+other: on the mask, where one hits the mask or the sorted m repeat a value;
+off it, where the m and the static residues the step holds, p in all, do.
 
 Components pass through lattice.exact_operand once per step, with the max|k_l|
-that FrequencySet.nonzeros keeps: int32 while M (max|k_l| + 1) < 2^31, int64
-while it is < 2^63, Python ints beyond, so (v + y k) mod M stays exact. A
-reconstruction step's residues v take the same dtype, so its sort runs on the
-narrowest integers that hold it; an integration step's v stay in the buffer's
-int64, which the product promotes to, so commit writes int64 into int64.
+that FrequencySet.nonzeros keeps: int64 while M (max|k_l| + 1) < 2^63, Python
+ints beyond, so (v + y k) mod M stays exact on the buffer's int64 residues v.
 """
 
 from __future__ import annotations
@@ -89,21 +87,21 @@ class ResidueState:
 
 class Step:
     """A step's y-independent part: the rows the verdict reads (as indices),
-    their residues v and components k, and the rows with k_l != 0 (the rows y
-    moves) with their components dk and max|dk|, bound. k and dk are signed and
-    in exact_operand's dtype; v is in it too for reconstruction and int64 for
-    integration, so v + y k is exact. v is a copy, stale once the step is
-    committed. The rows read are the moved rows in integration; in reconstruction,
-    one per moved class on the occupancy mask and one per class off it. forbidden,
-    an integration step's alone, is None until its first rejection, then b"" where
-    the step keeps the per-candidate check, or M bytes, 1 where y mod M is rejected."""
+    their int64 residues v (a copy, stale once the step is committed) and
+    components k, and the rows with k_l != 0 (the rows y moves) with their
+    components dk and max|dk|, bound; k and dk are in exact_operand's dtype.
+    The rows read are the moved rows in integration and one per moved class in
+    reconstruction; static holds the residues of a reconstruction step's other
+    classes off the occupancy mask. forbidden, an integration step's alone, is
+    None until its first rejection, then b"" where the step keeps the
+    per-candidate check, or M bytes, 1 where y mod M is rejected."""
 
-    __slots__ = ("state", "rows", "v", "k", "moved", "dk", "bound", "forbidden")
+    __slots__ = ("state", "rows", "v", "k", "moved", "dk", "bound", "static", "forbidden")
 
-    def __init__(self, state: ResidueState, rows: np.ndarray, v: np.ndarray, k: np.ndarray,
-                 moved: np.ndarray, dk: np.ndarray, bound: int):
-        self.state, self.rows, self.v, self.k = state, rows, v, k
-        self.moved, self.dk, self.bound = moved, dk, bound
+    def __init__(self, state: ResidueState, rows: np.ndarray, k: np.ndarray, moved: np.ndarray,
+                 dk: np.ndarray, bound: int, static: np.ndarray | None = None):
+        self.state, self.rows, self.v, self.k = state, rows, state.values[rows], k
+        self.moved, self.dk, self.bound, self.static = moved, dk, bound, static
         self.forbidden: bytes | None = None
 
 
@@ -114,7 +112,7 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     distinct length-ell prefixes of I must have distinct residues in it, as
     after a successful init_residues and after every committed step, which
     the occupancy mask stands for. It writes nothing; a reconstruction step
-    reads the moved classes on the attempt's mask and every class off it.
+    reads its moved classes, and off the mask copies the static residues.
     """
     if len(I) != state.values.shape[0]:
         raise ValueError("frequency set size disagrees with residue vector")
@@ -123,37 +121,39 @@ def prepare_step(state: ResidueState, I: FrequencySet, ell: int, mode: str) -> S
     moved, values, bound = I.nonzeros(ell)
     dk = exact_operand(values, state.M, bound)
     if mode == MODE_INTEGRATION:
-        return Step(state, moved, state.values[moved], dk, moved, dk, bound)
+        return Step(state, moved, dk, moved, dk, bound)
     if mode != MODE_RECONSTRUCTION:
         raise ValueError(f"unknown mode: {mode!r}")
     order, counts, birth, rank, _ = I.prefix_classes
     classes = birth[moved] <= ell  # the first row of each moved class
-    rows, k = moved[classes], dk[classes]
-    if state.taken is None:  # one row per class; static ones get k = 0 in dk's dtype
-        col = np.zeros(counts[ell], dtype=dk.dtype)
-        col[rank[rows]] = k
-        rows, k = order[:counts[ell]], col
-    v = state.values[rows].astype(dk.dtype, copy=False)
-    return Step(state, rows, v, k, moved, dk, bound)
+    rows, static = moved[classes], None
+    if state.taken is None:  # the classes with k_l = 0: every class but the moved ones
+        static = state.values[np.delete(order[:counts[ell]], rank[rows])]
+    return Step(state, rows, dk[classes], moved, dk, bound, static)
 
 
 def _shifted(step: Step, y: int) -> np.ndarray:
     """The residues of the rows the verdict reads after y, in a new array."""
-    M = step.state.M
-    return (step.v + (y % M) * step.k) % M
+    return (step.v + (y % step.state.M) * step.k) % step.state.M
 
 
 def _moved(step: Step, y: int) -> np.ndarray:
     """The residues of the rows y moves (k_l != 0) after y, in a new array."""
-    M = step.state.M
-    return (step.state.values[step.moved] + (y % M) * step.dk) % M
+    return (step.state.values[step.moved] + (y % step.state.M) * step.dk) % step.state.M
 
 
-def _integration_ok(r: np.ndarray) -> bool:
+def _integration_ok(step: Step, r: np.ndarray) -> bool:
     return np.count_nonzero(r) == r.shape[0]
 
 
-def _reconstruction_ok(r: np.ndarray) -> bool:
+def _reconstruction_ok(step: Step, r: np.ndarray) -> bool:
+    """Whether the moved classes' new residues r (sorted in place) meet neither
+    a static residue, on the occupancy mask or in step.static, nor each other."""
+    taken = step.state.taken
+    if taken is None:
+        r = np.concatenate((step.static, r))
+    elif taken[r].any():
+        return False
     r.sort()
     return not (r[1:] == r[:-1]).any()
 
@@ -182,7 +182,7 @@ def init_residues(I: FrequencySet, M: int, mode: str) -> tuple[bool, ResidueStat
         raise ValueError("need M >= 2")
     state = ResidueState(np.zeros(len(I), dtype=np.int64), M)
     step = prepare_step(state, I, 0, mode)
-    ok = _VERDICTS[mode](_shifted(step, 1))
+    ok = _VERDICTS[mode](step, _shifted(step, 1))
     commit(step, _moved(step, 1))
     if ok and mode == MODE_RECONSTRUCTION and _taken_pays(M, len(I)) and I.prefix_classes[4]:
         state.taken = np.zeros(M, dtype=bool)
@@ -242,7 +242,7 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, np.ndarray | 
             return False, None
         return True, _shifted(step, y)
     r = _shifted(step, y)  # the verdict rows are the moved rows
-    if _integration_ok(r):
+    if _integration_ok(step, r):
         return True, r
     if forbidden is None:
         step.forbidden = _forbidden(step)
@@ -250,16 +250,14 @@ def check_exactness_integration(step: Step, y: int) -> tuple[bool, np.ndarray | 
 
 
 def check_exactness_reconstruction(step: Step, y: int) -> tuple[bool, np.ndarray | None]:
-    """Reconstruction admissibility of candidate y: O(m log m) for the m moved
-    classes on the attempt's occupancy mask, O(p log p) for all p prefix
-    classes off it.
+    """Reconstruction admissibility of candidate y: (v + y k) mod M over the
+    step's m moved classes, then O(m log m) on the attempt's occupancy mask
+    and a sort of all p prefix classes' residues off it.
 
     Rows agreeing on the whole prefix count once; rows whose components are
     congruent mod M but distinct as integers stay separate, so their meeting
     residues reject y. Returns the verdict and, only if True, step.moved's new residues.
     """
-    r = _shifted(step, y)
-    taken = step.state.taken
-    if (taken is not None and taken[r].any()) or not _reconstruction_ok(r):
+    if not _reconstruction_ok(step, _shifted(step, y)):
         return False, None
     return True, _moved(step, y)

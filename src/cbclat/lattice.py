@@ -3,9 +3,8 @@
 The direct verifiers here are the ground truth the randomized search is
 checked against, so all residue arithmetic is exact. One primitive,
 exact_operand, serves every (v + y k) mod M in the package: residues
-0 <= v, y < M times signed, unreduced components k run in int32 while
-M (max|k| + 1) < 2^31, in int64 while it is < 2^63, and in Python integers
-beyond that, so each check runs on the narrowest integers that hold it exactly.
+0 <= v, y < M times signed, unreduced components k run in int64 while
+M (max|k| + 1) < 2^63 and in Python integers beyond that.
 The residues k . z mod M over a whole set are summed from its nnz nonzero
 components (FrequencySet.entries) by one np.add.at, O(|I| + nnz), under the
 same rule with the row norm ||k||_1 in place of max|k|; FrequencySet caches
@@ -30,19 +29,18 @@ INT64_SAFE_M = 3037000499
 
 
 def exact_operand(k: np.ndarray, M: int, bound: int | None = None) -> np.ndarray:
-    """k in the narrowest dtype where v + y*k is exact for residues 0 <= v, y < M.
+    """k as int64, or as Python ints where v + y*k for residues 0 <= v, y < M
+    could pass int64.
 
-    |v + y k| <= (M - 1)(max|k| + 1), so int32 holds it while
-    M (max|k| + 1) < 2^31 and int64 while it is < 2^63; beyond that k becomes
-    an array of Python ints and the same expression runs on them. bound is
-    max|k| when the caller keeps it.
+    |v + y k| <= (M - 1)(max|k| + 1), so int64 holds it while
+    M (max|k| + 1) < 2^63; beyond that k becomes an array of Python ints and
+    the same expression runs on them. bound is max|k| when the caller keeps it.
     """
     if bound is None:
         bound = int(np.abs(k).max(initial=0))
-    width = int(M) * (bound + 1)
-    if width >= 2**63:
+    if int(M) * (bound + 1) >= 2**63:
         return k.astype(object)
-    return k.astype(np.int32 if width < 2**31 else np.int64, copy=False)
+    return k.astype(np.int64, copy=False)
 
 
 def _residues(I: FrequencySet, M: int, z) -> np.ndarray:
@@ -50,7 +48,7 @@ def _residues(I: FrequencySet, M: int, z) -> np.ndarray:
     summed into their rows by one np.add.at, so a row without nonzeros (the
     zero row) stays 0. With z reduced into [0, M), every partial sum of row k
     lies within (M - 1) ||k||_1, so exact_operand with max ||k||_1 as its bound
-    picks int32, int64 or Python ints."""
+    picks int64 or Python ints."""
     M = int(M)
     rows, cols, values = I.entries
     k = exact_operand(values, M, int(I.row_norms.max()))
@@ -94,6 +92,8 @@ class Rank1Lattice:
             d = operator.index(obj.get("d", lat.d))
             if any(isinstance(v, bool) for v in (obj["M"], obj.get("d"), *obj["z"])):
                 raise TypeError("true and false are not integers")
+        except KeyError as exc:
+            raise ValueError(f"lattice JSON has no {exc} field") from None
         except TypeError as exc:
             raise ValueError(f"lattice JSON needs integer M, d and z entries: {exc}") from None
         if d != lat.d:

@@ -3,6 +3,7 @@
 import csv
 import importlib.metadata
 import io
+import itertools
 import json
 import os
 import random
@@ -293,6 +294,26 @@ def test_verify_io_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_names_missing_field_and_file(tmp_path, capsys):
+    # A lattice JSON without M or z names the field; a file that is not JSON
+    # names its path.
+    setfile = write_axis_set(tmp_path, 2, 2)
+    capsys.readouterr()
+    broken = tmp_path / "broken.json"
+    for text, field in [('{"z": [1, 4]}', "'M'"), ('{"M": 7}', "'z'"), ('{"d": 2}', "'M'")]:
+        broken.write_text(text)
+        assert main(["verify", setfile, str(broken)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {broken}: ")
+        assert f"no {field} field" in captured.err
+    for data in (b"M = 7\n", b"", b'{"M": 7, "z": [1\n', b'{"M": 7, "z": [1, \xff]}'):
+        broken.write_bytes(data)
+        assert main(["verify", setfile, str(broken)]) == 1, data
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {broken}: ")
+        assert "Traceback" not in captured.err
+
+
 def test_reconstruct_demo(tmp_path, capsys):
     setfile = write_axis_set(tmp_path, 2, 3)  # 13 frequencies
     capsys.readouterr()
@@ -471,6 +492,22 @@ def test_usage_errors_exit1(tmp_path, capsys):
     assert main(["bench", "--set", "axiscross", "--d", "2", "--N", "2", "--reps", "1",
                  "--seed", str(2**64 - 1)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "SET"], ["reconstruct-demo", "SET"], ["construct", "SET", "--M", "7"],
+    ["bench", "--set", "axiscross", "--d", "2", "--N", "2", "--reps", "1"],
+], ids=["search", "reconstruct-demo", "construct", "bench"])
+def test_budget_flags_below_1_exit1(tmp_path, capsys, argv):
+    # --K and --T below 1 are usage errors that name the flag (construct has no --K).
+    argv = [str(write_axis_set(tmp_path, 1, 1)) if a == "SET" else a for a in argv]
+    flags = ("--T",) if argv[0] == "construct" else ("--K", "--T")
+    capsys.readouterr()
+    for flag, value in itertools.product(flags, ("0", "-3")):
+        assert main([*argv, flag, value, "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {flag} must be >= 1, got {value}\n"
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) in (0, 2)
 
 
 def test_bad_seed_exit1(tmp_path, capsys):

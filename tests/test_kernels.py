@@ -124,6 +124,20 @@ def _sorted_rows(step):
     return sorted(step.rows.tolist())
 
 
+def _assert_class_split(step, I, ell):
+    # A reconstruction step reads the first row of each length-(ell + 1)
+    # prefix class it moves (k_ell != 0). Off the occupancy mask it holds the
+    # buffer's residues of the other (static) classes, in any order; on it, none.
+    col = I.array[:, ell]
+    classes = _prefix_rows(I, ell + 1)
+    assert _sorted_rows(step) == [j for j in classes if col[j]]
+    if step.state.taken is None:
+        static = [j for j in classes if not col[j]]
+        assert sorted(step.static.tolist()) == sorted(step.state.values[static].tolist())
+    else:
+        assert step.static is None
+
+
 def _kernel(mode):
     return check_exactness_integration if mode == "integration" else check_exactness_reconstruction
 
@@ -182,7 +196,12 @@ def test_init_residues_reconstruction():
     ok, state = init_residues(I, 5, "reconstruction")
     assert ok
     assert state.values.tolist() == [0, 0, 3]
-    assert _sorted_rows(prepare_step(state, I, 1, "reconstruction")) == _prefix_rows(I, 2)
+    step = prepare_step(state, I, 1, "reconstruction")
+    _assert_class_split(step, I, 1)
+    assert step.static.tolist() == [3]  # (3, 0); I is not nested, so no mask
+    # A moved class with k_1 = 0 mod M meets the k_1 = 0 class at init.
+    assert not init_residues(FrequencySet([(0, 1), (5, 0)]), 5, "reconstruction")[0]
+    assert init_residues(FrequencySet([(5, 0), (6, 0)]), 5, "reconstruction")[0]
 
 
 def test_init_residues_input_checks():
@@ -247,14 +266,15 @@ def test_integration_kernel_single_nonzero_row():
 
 
 def test_reconstruction_kernel_hand_trace(monkeypatch):
-    # Off the occupancy mask, the step reads every prefix class.
+    # Off the occupancy mask, the step reads its one moved class and holds the
+    # residues 0 and 1 of the static (0, 0) and (1, 0).
     monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never"])
     ok, state = init_residues(TRIPLE, 5, "reconstruction")
     assert ok and state.taken is None
     assert state.values.tolist() == [0, 0, 1]
     step = prepare_step(state, TRIPLE, 1, "reconstruction")  # column (0, 1, 0)
-    assert _sorted_rows(step) == _prefix_rows(TRIPLE, 2) == [0, 1, 2]
-    assert step.moved.tolist() == [1]
+    assert step.rows.tolist() == step.moved.tolist() == [1]
+    assert sorted(step.static.tolist()) == [0, 1]
     good, r1 = check_exactness_reconstruction(step, 1)
     assert not good  # residues (0, 1, 1) collide
     assert r1 is None
@@ -315,7 +335,7 @@ def test_reconstruction_kernel_row_permutation_invariant():
             continue
         kcol = I.array[:, -1]
         step = prepare_step(ResidueState(values, M), I, I.d - 1, "reconstruction")
-        assert _sorted_rows(step) == _prefix_rows(I, I.d)
+        _assert_class_split(step, I, I.d - 1)
         perm = list(range(len(I)))
         rng.shuffle(perm)
         for y in range(M):
@@ -328,11 +348,11 @@ def test_reconstruction_kernel_row_permutation_invariant():
 def test_duplicate_projections_do_not_false_negative(monkeypatch):
     # The rows of each set agree in the first two coordinates; at step 2 the
     # deduplicated pair set is a singleton and every y must pass, matching the
-    # direct verifier on the projected, deduplicated set. Off the occupancy
-    # mask the step reads that one class. The first set is not nested (the
-    # class (1, 0) has no child with k_2 = 0), so no rule gives its attempt
-    # the mask; the second is, and on the mask (the default rule at M = 7) the
-    # class is static, so the step reads no row and the mask marks its residue 1.
+    # direct verifier on the projected, deduplicated set. That one class is
+    # static, so the step reads no row; off the occupancy mask it holds the
+    # class's residue 1. The first set is not nested (the class (1, 0) has no
+    # child with k_2 = 0), so no rule gives its attempt the mask; the second
+    # is, and on the mask (the default rule at M = 7) the mask marks residue 1.
     M = 7
     for I, rule in itertools.product([FrequencySet([(1, 0, 1), (1, 0, 2)]),
                                       FrequencySet([(1, 0, 0), (1, 0, 1), (1, 0, 2)])],
@@ -345,11 +365,12 @@ def test_duplicate_projections_do_not_false_negative(monkeypatch):
         ok, state = init_residues(I, M, "reconstruction")
         assert ok
         step = prepare_step(state, I, 1, "reconstruction")
+        assert step.rows.tolist() == []
+        _assert_class_split(step, I, 1)
         if rule == "never" or not nested:
             assert state.taken is None
-            assert _sorted_rows(step) == _prefix_rows(I, 2) == [0]
+            assert step.static.tolist() == [1]
         else:
-            assert step.rows.tolist() == []
             assert np.flatnonzero(state.taken).tolist() == [1]
         assert step.k.tolist() == I.array[step.rows, 1].tolist()
         for y in range(M):
@@ -403,12 +424,13 @@ def _walk(I, M, mode):
 
 def _assert_next_rows(state, I, ell, mode):
     # The rows step ell reads: in integration those with k_ell != 0, in
-    # reconstruction the first row of each length-(ell + 1) prefix of I.
-    rows = prepare_step(state, I, ell, mode).rows
+    # reconstruction the first row of each length-(ell + 1) prefix of I with
+    # k_ell != 0, and off the occupancy mask the residues of the rest.
+    step = prepare_step(state, I, ell, mode)
     if mode == "integration":
-        assert rows.tolist() == np.flatnonzero(I.array[:, ell]).tolist()
+        assert step.rows.tolist() == np.flatnonzero(I.array[:, ell]).tolist()
     else:
-        assert sorted(rows.tolist()) == _prefix_rows(I, ell + 1)
+        _assert_class_split(step, I, ell)
 
 
 def test_carried_residues_match_recomputation():
@@ -578,8 +600,7 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT, closed=False):
     for ell in range(1, I.d):
         step = prepare_step(state, I, ell, mode)
         assert step.k.dtype == step.dk.dtype == dtype
-        # Integration keeps the buffer's int64 residues; reconstruction sorts them in dtype.
-        assert step.v.dtype == (np.int64 if mode == "integration" else dtype)
+        assert step.v.dtype == np.int64  # the buffer's residues, in both modes
         # The step takes column ell from I.nonzeros: it must match the dense array.
         assert step.k.tolist() == I.array[step.rows, ell].tolist()
         assert step.dk.tolist() == I.array[step.moved, ell].tolist()
@@ -590,13 +611,11 @@ def _walk_near_bound(M, mode, rng, dtype, limit=COMPONENT_LIMIT, closed=False):
             forced = (-nu[j] * pow(col[j], -1, M)) % M
         else:
             mask = _prefix_mask(I, ell + 1)
-            if closed:  # the moved classes, and the residues of the rest marked
+            _assert_class_split(step, I, ell)  # the moved classes, and off the mask the rest's residues
+            if closed:  # the residues of the rest marked
                 assert state.taken is not None
-                assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
                 static = sorted(nu[j] for j in _prefix_rows(I, ell + 1) if not col[j])
                 assert np.flatnonzero(state.taken).tolist() == static
-            else:
-                assert _sorted_rows(step) == _prefix_rows(I, ell + 1)
             rows = [j for j in range(len(I)) if mask[j]]
             i, j = next((i, j) for i in rows for j in rows if (col[i] - col[j]) % M)
             forced = ((nu[j] - nu[i]) * pow(col[i] - col[j], -1, M)) % M
@@ -659,10 +678,10 @@ def _prevprime(n):
 @pytest.mark.parametrize("mode", ["integration", "reconstruction"])
 @pytest.mark.parametrize("side", ["int32", "int64"])
 def test_kernels_exact_at_int32_bound(monkeypatch, mode, side):
-    # Components within 8 of 4096: M (4096 + 1) < 2^31 keeps every step in
-    # int32, where y = M - 1 takes v + y k to the edge of int32, and
-    # M (4096 - 7 + 1) >= 2^31, 0.2 % further on, takes every step to int64.
-    # The walk runs with the occupancy mask forced off and, in
+    # Components within 8 of 4096, with M on both sides of the int32 edge:
+    # M (4096 + 1) < 2^31, where y = M - 1 takes v + y k to the edge of int32,
+    # and M (4096 - 7 + 1) >= 2^31, 0.2 % further on. Every step computes in
+    # int64 on both sides. The walk runs with the occupancy mask forced off and, in
     # reconstruction, again forced on (M is about 524,000 bools) over a set
     # whose classes each keep a static child.
     limit = 4096
@@ -672,10 +691,10 @@ def test_kernels_exact_at_int32_bound(monkeypatch, mode, side):
         M = nextprime((2**31 - 1) // (limit - 6))
     seed = {"int32": 5, "int64": 7}[side] + (mode == "integration")
     monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["never"])
-    _walk_near_bound(M, mode, random.Random(seed), np.dtype(side), limit)
+    _walk_near_bound(M, mode, random.Random(seed), np.int64, limit)
     if mode == "reconstruction":
         monkeypatch.setattr(kernels, "_taken_pays", TAKEN_RULES["always"])
-        _walk_near_bound(M, mode, random.Random(seed), np.dtype(side), limit, closed=True)
+        _walk_near_bound(M, mode, random.Random(seed), np.int64, limit, closed=True)
 
 
 # (moduli, max|k|, row counts) of the sets each case draws. The first three
@@ -790,7 +809,8 @@ def _tier_instance(rng, tier, closed=False):
     # Components in -3..3, plus some that are 0 mod M and some congruent mod M
     # to another component of their column, all nonzero. In the int64 tier
     # every nonzero component is raised by a large multiple of M, so that
-    # M (max|k| + 1) >= 2^31 at the small M drawn here. closed adds every
+    # M (max|k| + 1) >= 2^31 at the small M drawn here, past the int32 edge;
+    # the int32 tier keeps small components. Both compute in int64. closed adds every
     # row's prefixes padded with 0, so that each prefix class keeps a child
     # with k_l = 0 at every step, as in a downward-closed set.
     d, n = rng.randrange(2, 5), rng.randrange(2, 16)
@@ -834,7 +854,8 @@ def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
     # on it reads one row per moved class, the mask marks the residues of the
     # rest, and every commit leaves it marking the buffer's. Every step, on the
     # mask or off it, reads column ell of the dense array at its rows. Every
-    # set drawn checks the nested flag against _keeps_static_children.
+    # set drawn checks the nested flag against _keeps_static_children. Off the
+    # mask, every step holds the static classes' residues, from the dense rows.
     # The real rule never meets the Python-int tier (M <= INT64_SAFE_M and
     # |k| <= COMPONENT_LIMIT keep int64), so the object tier, forced through
     # exact_operand at these small M, runs with the rule forced off.
@@ -861,18 +882,20 @@ def test_static_mask_matches_direct_verifier(monkeypatch, tier, rule):
         z = [1]
         for ell in range(1, I.d):
             step = prepare_step(state, I, ell, "reconstruction")
-            assert step.k.dtype == np.dtype(tier)
+            assert step.k.dtype == np.dtype(object if tier == "object" else np.int64)
             assert step.forbidden is None  # integration's mask alone
             assert (state.taken is not None) == masked  # the step leaves the attempt's mask as it is
             counted["masked" if masked else "dense"] += 1
             col = I.array[:, ell]
             assert step.k.tolist() == col[step.rows].tolist()
+            static = [j for j in _prefix_rows(I, ell + 1) if col[j] == 0]
+            assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
             if masked:
-                static = [j for j in _prefix_rows(I, ell + 1) if col[j] == 0]
                 assert np.flatnonzero(state.taken).tolist() == sorted(state.values[static])
-                assert _sorted_rows(step) == [j for j in _prefix_rows(I, ell + 1) if col[j]]
+                assert step.static is None
             else:
-                assert _sorted_rows(step) == _prefix_rows(I, ell + 1)
+                residues = [sum(int(a) * b for a, b in zip(I.array[j, :ell], z)) % M for j in static]
+                assert sorted(step.static.tolist()) == sorted(residues)
             proj = FrequencySet(I.array[:, : ell + 1])
             want = []
             for y in range(M):

@@ -69,7 +69,7 @@ def test_nodes_examples():
 @pytest.mark.parametrize("M, side", [(46337, "int32"), (46349, "int64")])
 def test_nodes_exact_at_int32_bound(M, side, monkeypatch):
     # The primes around M^2 = 2^31: j z_t for j, z_t < M fits int32 below it
-    # and not above, so z near M - 1 would wrap in the wrong tier.
+    # and not above, so z near M - 1 would wrap in int32; both run in int64.
     assert is_prime(M) and (M * M < 2**31) == (side == "int32")
     dtypes = []
     operand = lattice_mod.exact_operand
@@ -78,7 +78,7 @@ def test_nodes_exact_at_int32_bound(M, side, monkeypatch):
     z = (1, M - 1, M - 2, 40503)
     want = np.array([[j * zt % M for zt in z] for j in range(M)]) / M
     assert np.array_equal(nodes(Rank1Lattice(M, z)), want)
-    assert dtypes == [side]
+    assert dtypes == [np.int64]
 
 
 def test_cubature_constant_and_length_check():
@@ -160,21 +160,22 @@ def _prevprime(n):
 
 def _tier(width):
     """The dtype exact_operand must pick when M (bound + 1) = width."""
-    return np.dtype(np.int32 if width < 2**31 else np.int64 if width < 2**63 else object)
+    return np.dtype(np.int64 if width < 2**63 else object)
 
 
-# (M, largest |k|, dtype exact_operand must pick) on both sides of its bounds
+# (M, largest |k|, dtype exact_operand must pick) on both sides of its bound
 # M (max|k| + 1) < 2^63: |k| at COMPONENT_LIMIT around 2^32, and |k| <= 64
-# around floor((2^63 - 1) / 65); and M (max|k| + 1) < 2^31: |k| <= 64 around
+# around floor((2^63 - 1) / 65); and on both sides of the int32 edge
+# M (max|k| + 1) < 2^31, where int64 holds both: |k| <= 64 around
 # floor((2^31 - 1) / 65), and |k| <= 3 around floor((2^31 - 1) / 4).
 BOUND_CASES = [
     (4294967291, COMPONENT_LIMIT, np.int64),
     (4294967311, COMPONENT_LIMIT, object),
     (_prevprime((2**63 - 1) // 65), 64, np.int64),
     (nextprime((2**63 - 1) // 65), 64, object),
-    (_prevprime((2**31 - 1) // 65), 64, np.int32),
+    (_prevprime((2**31 - 1) // 65), 64, np.int64),
     (nextprime((2**31 - 1) // 65), 64, np.int64),
-    (_prevprime((2**31 - 1) // 4), 3, np.int32),
+    (_prevprime((2**31 - 1) // 4), 3, np.int64),
     (nextprime((2**31 - 1) // 4), 3, np.int64),
 ]
 
@@ -224,9 +225,10 @@ def test_residues_and_verifiers_at_int64_bound(M, kmax, side):
 
 # (M, largest |k|, dtype of the dot product) for _bound_instance's sets, whose
 # largest row norm is 3 |k|: both sides of M (max ||k||_1 + 1) < 2^63 for
-# |k| up to COMPONENT_LIMIT and up to 3, and of M (max ||k||_1 + 1) < 2^31
-# for |k| up to 64 and up to 3; and lattice sizes where max|k| still fits
-# exact_operand's int64 (or int32) bound but the row norm would overflow it.
+# |k| up to COMPONENT_LIMIT and up to 3, and of the int32 edge
+# M (max ||k||_1 + 1) < 2^31 for |k| up to 64 and up to 3 (int64 on both);
+# and lattice sizes where max|k| still fits exact_operand's int64 bound but
+# the row norm would overflow it.
 DOT_CASES = [
     (_prevprime((2**63 - 1) // (3 * COMPONENT_LIMIT + 1)), COMPONENT_LIMIT, "int64"),
     (nextprime((2**63 - 1) // (3 * COMPONENT_LIMIT + 1)), COMPONENT_LIMIT, "object"),
@@ -234,9 +236,9 @@ DOT_CASES = [
     (_prevprime((2**63 - 1) // 10), 3, "int64"),
     (nextprime((2**63 - 1) // 10), 3, "object"),
     (_prevprime((2**63 - 1) // 4), 3, "object"),
-    (_prevprime((2**31 - 1) // (3 * 64 + 1)), 64, "int32"),
+    (_prevprime((2**31 - 1) // (3 * 64 + 1)), 64, "int64"),
     (nextprime((2**31 - 1) // (3 * 64 + 1)), 64, "int64"),
-    (_prevprime((2**31 - 1) // 10), 3, "int32"),
+    (_prevprime((2**31 - 1) // 10), 3, "int64"),
     (nextprime((2**31 - 1) // 10), 3, "int64"),
 ]
 
@@ -268,8 +270,8 @@ def test_residues_and_verifiers_at_row_norm_bound(M, kmax, side):
 def _store_cases():
     """(set, M) pairs for the residue differential test: sparse and dense sets,
     {0}, an all-zero column, a column with no zero row, negative components,
-    and M on both sides of the int32 and int64 bounds M (max ||k||_1 + 1) < 2^31
-    and < 2^63."""
+    and M on both sides of the int64 bound M (max ||k||_1 + 1) < 2^63 and of
+    the int32 edge, < 2^31."""
     rng = np.random.default_rng(5)
     sets = [FrequencySet([(0, 0)]), FrequencySet([(1, 0, -2), (0, 0, 3), (-4, 0, 0)]),
             FrequencySet([(-3, 5), (2, 5)]), FrequencySet([(-3, -1), (-7, -2), (-1, -9)]),
